@@ -25,9 +25,7 @@ import (
 	"stmdiag/internal/apps"
 	"stmdiag/internal/cliobs"
 	"stmdiag/internal/harness"
-	"stmdiag/internal/isa"
 	"stmdiag/internal/synth"
-	"stmdiag/internal/vm"
 )
 
 func main() {
@@ -65,24 +63,26 @@ func main() {
 		os.Exit(1)
 	}
 
-	var prog *isa.Program
-	opts := vm.Options{Seed: *seed}
+	var src harness.CoverageSource
 	switch {
 	case *useSynth:
-		prog = synth.MustGenerate("synth", synth.Config{
+		src = harness.CoverageSource{Seed: *seed, Synth: &synth.Config{
 			Seed: *seed, Funcs: *funcs, StmtsPerFunc: *stmts,
-		})
+		}}
 	case *app != "":
-		a := apps.ByName(*app)
-		if a == nil {
+		if apps.ByName(*app) == nil {
 			fmt.Fprintf(os.Stderr, "unknown benchmark %q\n", *app)
 			os.Exit(1)
 		}
-		prog = a.Program()
-		opts = a.Succeed.VMOptions(*seed)
+		src = harness.CoverageSource{App: *app, Seed: *seed}
 	default:
 		flag.Usage()
 		os.Exit(2)
+	}
+	prog, _, err := src.Program()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	periods := []int{*period}
@@ -98,9 +98,8 @@ func main() {
 		}
 	}
 
-	opts.Obs = sink
 	pool := harness.NewPool(*jobs, sink).WithFaults(faults, *seed).WithRunID(harness.RunID(*seed, "cli"))
-	results, err := harness.CoverageSweep(prog, opts, periods, pool)
+	results, err := harness.CoverageSweep(src, periods, pool)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

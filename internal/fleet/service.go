@@ -13,9 +13,10 @@ import (
 	"stmdiag/internal/obs"
 )
 
-// MaxBatchBytes bounds one ingest POST's (decoded) request body. Batches
-// are per-trial event sets — kilobytes each — so anything near this limit
-// is a malfunctioning client, not load.
+// MaxBatchBytes bounds one ingest POST twice: the request body as sent,
+// and the batch after gzip inflation (DecodeBatch). Batches are per-trial
+// event sets — kilobytes each — so anything near this limit is a
+// malfunctioning client, not load.
 const MaxBatchBytes = 8 << 20
 
 // batchLatencyBounds buckets ingest handler latency (ns): 10µs .. ~164ms

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -118,6 +119,50 @@ func TestServiceIngestRejects(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("fake gzip: status %s", resp.Status)
+	}
+}
+
+// TestServiceIngestRejectsGzipBomb: MaxBatchBytes bounds the inflated
+// batch, not just the compressed body. A few-KiB gzip body that inflates
+// to a well-formed batch past the cap must take the 400 + rejected path
+// instead of being decoded into memory.
+func TestServiceIngestRejectsGzipBomb(t *testing.T) {
+	_, srv, sink := newTestService(t)
+	var raw bytes.Buffer
+	raw.WriteString(`{"v": 2, "subs": [], "client": "`)
+	raw.Write(bytes.Repeat([]byte("a"), MaxBatchBytes+1))
+	raw.WriteString(`"}`)
+	var body bytes.Buffer
+	zw := gzip.NewWriter(&body)
+	if _, err := zw.Write(raw.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if body.Len() > 64<<10 {
+		t.Fatalf("bomb body is %d bytes; want a small compressed request", body.Len())
+	}
+	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/fleet/ingest", &body)
+	req.Header.Set("Content-Encoding", "gzip")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("gzip bomb: status %s, want 400", resp.Status)
+	}
+	if !strings.Contains(string(msg), "exceeds") {
+		t.Errorf("gzip bomb error body %q does not name the cap", msg)
+	}
+	snap := sink.Metrics.Snapshot()
+	if got := snap.Counter("fleet.ingest.rejected"); got != 1 {
+		t.Errorf("rejected = %d, want 1", got)
+	}
+	if got := snap.Counter("fleet.ingest.batches"); got != 0 {
+		t.Errorf("batches = %d, want 0 (the bomb must not commit)", got)
 	}
 }
 

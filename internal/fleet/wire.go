@@ -165,7 +165,9 @@ func EncodeBatchGzip(b *Batch) ([]byte, error) {
 
 // DecodeBatch reads one batch off the wire, transparently inflating gzip
 // when the transport said so, and validates the version and submission
-// shape. Malformed input maps to an error the server reports as HTTP 400.
+// shape. The inflated stream is capped at MaxBatchBytes, so a small
+// compressed body cannot expand without bound. Malformed or oversized
+// input maps to an error the server reports as HTTP 400.
 func DecodeBatch(r io.Reader, gzipped bool) (*Batch, error) {
 	if gzipped {
 		zr, err := gzip.NewReader(r)
@@ -173,7 +175,7 @@ func DecodeBatch(r io.Reader, gzipped bool) (*Batch, error) {
 			return nil, fmt.Errorf("fleet: bad gzip body: %w", err)
 		}
 		defer zr.Close()
-		r = zr
+		r = &inflateCap{r: zr, left: MaxBatchBytes}
 	}
 	var b Batch
 	dec := json.NewDecoder(r)
@@ -193,4 +195,24 @@ func DecodeBatch(r io.Reader, gzipped bool) (*Batch, error) {
 		}
 	}
 	return &b, nil
+}
+
+// inflateCap fails a read once more than left inflated bytes have been
+// consumed, rather than truncating silently: an oversized batch surfaces
+// as its own decode error instead of a confusing unexpected EOF.
+type inflateCap struct {
+	r    io.Reader
+	left int64
+}
+
+func (c *inflateCap) Read(p []byte) (int, error) {
+	if c.left <= 0 {
+		return 0, fmt.Errorf("fleet: inflated batch exceeds %d bytes", MaxBatchBytes)
+	}
+	if int64(len(p)) > c.left {
+		p = p[:c.left]
+	}
+	n, err := c.r.Read(p)
+	c.left -= int64(n)
+	return n, err
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"stmdiag/internal/apps"
+	"stmdiag/internal/cbi"
 )
 
 func TestAdaptiveFindsRootCause(t *testing.T) {
@@ -64,5 +65,26 @@ func TestAdaptiveCannotFixContextOnePredicates(t *testing.T) {
 	}
 	if res.Iterations != 12 {
 		t.Errorf("iterations = %d, want the full budget", res.Iterations)
+	}
+}
+
+// TestCBIRunEmptyActiveSetRestricts pins the cbi-run contract adaptive CBI
+// relies on: its first branch layer can be empty, and an empty active set
+// must still restrict sampling (to nothing) after the params' JSON round
+// trip, while a nil set samples every branch.
+func TestCBIRunEmptyActiveSetRestricts(t *testing.T) {
+	observed := func(active []string) int {
+		P := cbiRunParams{App: "sort", WantFail: true, Rate: 1, Seed: 1, Salt: 4242, Active: active}
+		runs, _, err := CollectKind[cbi.RunObs](NewPool(1, nil), 20, 1, "sort/active", "cbi-run", P)
+		if err != nil || len(runs) != 1 {
+			t.Fatalf("active=%v: %d runs, %v", active, len(runs), err)
+		}
+		return len(runs[0].Observed)
+	}
+	if n := observed([]string{}); n != 0 {
+		t.Errorf("empty active set observed %d predicates, want 0", n)
+	}
+	if n := observed(nil); n == 0 {
+		t.Error("unrestricted run observed no predicates")
 	}
 }

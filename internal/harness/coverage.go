@@ -3,6 +3,7 @@ package harness
 import (
 	"stmdiag/internal/isa"
 	"stmdiag/internal/pmu"
+	"stmdiag/internal/synth"
 	"stmdiag/internal/vm"
 )
 
@@ -128,15 +129,40 @@ func RunCoverage(p *isa.Program, opts vm.Options, periodSteps int) (*CoverageRes
 	return res, nil
 }
 
-// CoverageSweep measures coverage at each sampling period, fanning the
-// independent measurements out through the trial pool. Results come back in
-// period order regardless of the worker count.
-func CoverageSweep(p *isa.Program, opts vm.Options, periods []int, pool *Pool) ([]*CoverageResult, error) {
-	return Map(pool, len(periods), p.Name+"/coverage",
-		func(tc *Trial) (*CoverageResult, error) {
-			o := opts
-			o.Obs = tc.Sink
-			o.Faults = tc.Faults
-			return RunCoverage(p, o, periods[tc.Index])
-		})
+// CoverageSource names the program a coverage sweep measures: a benchmark
+// under its success workload (App), or a generated program (Synth). Seed is
+// the run's scheduler seed.
+type CoverageSource struct {
+	App   string        `json:"app,omitempty"`
+	Synth *synth.Config `json:"synth,omitempty"`
+	Seed  int64         `json:"seed"`
+}
+
+// name is the source program's name; it labels the sweep's trial stream.
+func (s CoverageSource) name() string {
+	if s.Synth != nil {
+		return "synth"
+	}
+	return s.App
+}
+
+// Program builds the source's program and the VM options it runs under.
+func (s CoverageSource) Program() (*isa.Program, vm.Options, error) {
+	if s.Synth != nil {
+		p, err := synth.Generate(s.name(), *s.Synth)
+		return p, vm.Options{Seed: s.Seed}, err
+	}
+	a, err := kindApp(s.App)
+	if err != nil {
+		return nil, vm.Options{}, err
+	}
+	return cachedProgram(a), a.Succeed.VMOptions(s.Seed), nil
+}
+
+// CoverageSweep measures coverage of src at each sampling period, fanning
+// the independent measurements out through the trial pool as coverage
+// kinds. Results come back in period order regardless of the worker count.
+func CoverageSweep(src CoverageSource, periods []int, pool *Pool) ([]*CoverageResult, error) {
+	return MapKind[*CoverageResult](pool, len(periods), src.name()+"/coverage", "coverage",
+		coverageParams{Source: src, Periods: periods})
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"testing"
 
 	"stmdiag/internal/apps"
@@ -51,5 +52,35 @@ func TestCoverageConcurrentProgram(t *testing.T) {
 	}
 	if res.ExecutedEdges == 0 || res.CoveredEdges == 0 {
 		t.Errorf("no edges covered on a concurrent program: %+v", res)
+	}
+}
+
+// TestCoverageSweepMatchesRunCoverage: the sweep runs each period as a
+// coverage trial (params and result crossing JSON) and must return exactly
+// what RunCoverage measures directly, in period order, for any worker
+// count.
+func TestCoverageSweepMatchesRunCoverage(t *testing.T) {
+	src := CoverageSource{Seed: 1, Synth: &synth.Config{Seed: 5, Funcs: 6, StmtsPerFunc: 20}}
+	periods := []int{5000, 50, 500}
+	p, opts, err := src.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []*CoverageResult
+	for _, period := range periods {
+		res, err := RunCoverage(p, opts, period)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, res)
+	}
+	for _, jobs := range []int{1, 3} {
+		got, err := CoverageSweep(src, periods, NewPool(jobs, nil))
+		if err != nil {
+			t.Fatalf("jobs=%d: %v", jobs, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("jobs=%d: sweep = %+v, want %+v", jobs, got, want)
+		}
 	}
 }

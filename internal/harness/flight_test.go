@@ -12,33 +12,31 @@ import (
 
 // TestFlightJobsInvariance: the pipeline flight-recorder ring is filled at
 // commit time in trial order, so its contents — and the first degraded
-// trial's attached tail — must be identical for every -jobs value (ISSUE 5
-// satellite f). A high panic rate with a single retry guarantees some
-// trials panic twice in a row and degrade.
+// trial's attached tail — must be identical for every -jobs value and
+// executor. A high panic rate with a single retry guarantees some trials
+// panic twice in a row and degrade.
 func TestFlightJobsInvariance(t *testing.T) {
 	spec, err := faultinj.ParseSpec("panic=0.6,retries=1,seed=99")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wantRing, wantTail []obs.FlightEvent
-	for _, jobs := range testPoolJobs() {
+	for _, v := range poolVariants() {
 		sink := &obs.Sink{
 			Metrics: obs.NewRegistry(),
 			Flight:  obs.NewFlightRecorder(obs.DefaultFlightCap),
 		}
-		p := NewPool(jobs, sink).WithFaults(spec, 7)
-		if _, _, err := Collect(p, 40, 40, "flighttest", func(tc *Trial) (int, bool, error) {
-			return tc.Index, true, nil
-		}); err != nil {
-			t.Fatalf("jobs=%d: %v", jobs, err)
+		p := v.pool(t, sink).WithFaults(spec, 7)
+		if _, _, err := CollectKind[int](p, 40, 40, "flighttest", "test-script", script()); err != nil {
+			t.Fatalf("%s: %v", v.name, err)
 		}
 		ring := sink.Flight.Snapshot()
 		deg := p.FirstDegraded()
 		if deg == nil {
-			t.Fatalf("jobs=%d: no degraded trial despite retries=0 at rate 0.3", jobs)
+			t.Fatalf("%s: no degraded trial despite retries=1 at rate 0.6", v.name)
 		}
 		if len(deg.Events) == 0 {
-			t.Fatalf("jobs=%d: degraded trial carries no flight events", jobs)
+			t.Fatalf("%s: degraded trial carries no flight events", v.name)
 		}
 		if wantRing == nil {
 			wantRing, wantTail = ring, deg.Events
@@ -54,36 +52,32 @@ func TestFlightJobsInvariance(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(ring, wantRing) {
-			t.Errorf("jobs=%d: pipeline flight ring diverged from jobs=%d\n got %d events, want %d",
-				jobs, testPoolJobs()[0], len(ring), len(wantRing))
+			t.Errorf("%s: pipeline flight ring diverged from jobs=%d\n got %d events, want %d",
+				v.name, testPoolJobs()[0], len(ring), len(wantRing))
 		}
 		if !reflect.DeepEqual(deg.Events, wantTail) {
-			t.Errorf("jobs=%d: degraded-trial flight tail diverged:\n got: %v\nwant: %v",
-				jobs, deg.Events, wantTail)
+			t.Errorf("%s: degraded-trial flight tail diverged:\n got: %v\nwant: %v",
+				v.name, deg.Events, wantTail)
 		}
 	}
 }
 
-// TestFlightTrialErrorTail: a degraded Map trial surfaces as a *TrialError
+// TestFlightTrialErrorTail: a degraded MapKind trial surfaces as a *TrialError
 // whose Events hold the per-trial ring read at the moment of degradation —
 // the software mirror of reading the LBR inside the segfault handler.
 func TestFlightTrialErrorTail(t *testing.T) {
 	var want []obs.FlightEvent
+	P := script()
+	P.PanicAt = 3
 	for _, jobs := range testPoolJobs() {
 		sink := &obs.Sink{
 			Metrics: obs.NewRegistry(),
 			Flight:  obs.NewFlightRecorder(obs.DefaultFlightCap),
 		}
-		p := NewPool(jobs, sink)
-		_, err := Map(p, 6, "tailtest", func(tc *Trial) (int, error) {
-			if tc.Index == 3 {
-				panic("boom")
-			}
-			return tc.Index, nil
-		})
+		_, err := MapKind[int](NewPool(jobs, sink), 6, "tailtest", "test-script", P)
 		var te *TrialError
 		if !errors.As(err, &te) {
-			t.Fatalf("jobs=%d: Map error = %v, want *TrialError", jobs, err)
+			t.Fatalf("jobs=%d: MapKind error = %v, want *TrialError", jobs, err)
 		}
 		if len(te.Events) == 0 {
 			t.Fatalf("jobs=%d: TrialError.Events empty", jobs)
@@ -111,7 +105,8 @@ func TestFlightTrialErrorTail(t *testing.T) {
 	}
 	if p := NewPool(2, nil); p != nil {
 		// Recorder-less pools must keep Events empty rather than panic.
-		_, err := Map(p, 2, "norec", func(tc *Trial) (int, error) { panic("x") })
+		P.PanicAt = 0
+		_, err := MapKind[int](p, 2, "norec", "test-script", P)
 		var te *TrialError
 		if !errors.As(err, &te) || len(te.Events) != 0 {
 			t.Errorf("nil-sink pool: err=%v events=%v, want empty tail", err, te.Events)

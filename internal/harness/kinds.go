@@ -11,15 +11,17 @@ import (
 	"stmdiag/internal/isa"
 	"stmdiag/internal/kernel"
 	"stmdiag/internal/pmu"
+	"stmdiag/internal/synth"
+	"stmdiag/internal/trace"
 	"stmdiag/internal/vm"
 )
 
-// This file registers the portable trial kinds: the closure bodies of
-// seq.go, conc.go and tables.go re-expressed as (name, JSON params) pairs
-// so they can execute in any process and resume from the artifact store.
-// Each kind must reproduce its closure's behavior exactly — same VM
-// options, same seed derivation, same accept/reject/error decisions — or
-// the cross-executor golden-table identity breaks.
+// This file registers the trial kinds: every trial body the harness and its
+// commands run, named and parameterized by JSON so it can execute in any
+// process and resume from the artifact store. A kind's behavior is a pure
+// function of (params, stream, trial index, attempt): its VM options, seed
+// derivation and accept/reject/error decisions may depend on nothing else,
+// or the cross-executor golden-table identity breaks.
 
 func init() {
 	registerKind("fail-profile", failProfileKind)
@@ -27,6 +29,9 @@ func init() {
 	registerKind("cbi-run", cbiRunKind)
 	registerKind("mean-cycles", meanCyclesKind)
 	registerKind("conc-profile", concProfileKind)
+	registerKind("corpus-program", corpusProgramKind)
+	registerKind("coverage", coverageKind)
+	registerKind("report-bundle", reportBundleKind)
 }
 
 // kindApp resolves a benchmark by name. The Table 3 micro-benchmark lives
@@ -160,6 +165,12 @@ type cbiRunParams struct {
 	WantFail bool    `json:"wantFail"`
 	Rate     float64 `json:"rate"`
 	Seed     int64   `json:"seed"`
+	// Salt offsets the observer's sampling seed from the run seed.
+	Salt int64 `json:"salt"`
+	// Active, when non-nil, restricts sampling to these branch names (the
+	// adaptive expansion); nil samples every branch. No omitempty: an
+	// empty set still restricts and must not decode as nil.
+	Active []string `json:"active"`
 }
 
 // cbiRunKind executes one CBI-instrumented run on the uninstrumented
@@ -185,7 +196,14 @@ func cbiRunKind(raw json.RawMessage, stream string, tc *Trial) (any, bool, error
 	if err != nil {
 		return cbi.RunObs{}, false, err
 	}
-	o := cbi.NewObserver(P.Rate, seed+31337)
+	o := cbi.NewObserver(P.Rate, seed+P.Salt)
+	if P.Active != nil {
+		active := make(map[string]bool, len(P.Active))
+		for _, name := range P.Active {
+			active[name] = true
+		}
+		o.Restrict(active)
+	}
 	o.Attach(m)
 	res, err := m.Run()
 	if err != nil {
@@ -301,4 +319,134 @@ func concProfileKind(raw json.RawMessage, stream string, tc *Trial) (any, bool, 
 		}
 	}
 	return prof, ok, nil
+}
+
+// corpusParams parameterizes Table 9's corpus fan-out. Trial i is program
+// i%PerCell of cell i/PerCell, cells in (bug class × distance) order; the
+// remaining fields are the Config fields corpusProgram reads.
+type corpusParams struct {
+	PerCell     int   `json:"perCell"`
+	Seed        int64 `json:"seed"`
+	MaxAttempts int   `json:"maxAttempts"`
+	FailRuns    int   `json:"failRuns"`
+	SuccRuns    int   `json:"succRuns"`
+	LBRSize     int   `json:"lbrSize,omitempty"`
+	LCRSize     int   `json:"lcrSize,omitempty"`
+}
+
+// corpusProgramKind runs the diagnosis loop over one generated program.
+// Errors are hard (MapKind semantics: Table 9 indexes results by cell).
+func corpusProgramKind(raw json.RawMessage, _ string, tc *Trial) (any, bool, error) {
+	var P corpusParams
+	if err := json.Unmarshal(raw, &P); err != nil {
+		return nil, false, err
+	}
+	cell, classes := tc.Index/P.PerCell, synth.BugClasses()
+	out, err := corpusProgram(classes[cell/len(corpusDistances)], corpusDistances[cell%len(corpusDistances)],
+		tc.Index%P.PerCell, Config{
+			Seed: P.Seed, MaxAttempts: P.MaxAttempts, FailRuns: P.FailRuns, SuccRuns: P.SuccRuns,
+			LBRSize: P.LBRSize, LCRSize: P.LCRSize,
+		}, tc)
+	if err != nil {
+		return nil, false, err
+	}
+	return out, true, nil
+}
+
+// coverageParams parameterizes a coverage sweep: trial i measures Source
+// at sampling period Periods[i].
+type coverageParams struct {
+	Source  CoverageSource `json:"source"`
+	Periods []int          `json:"periods"`
+}
+
+// coverageKind runs one THeME-style coverage measurement. Errors are hard
+// (MapKind semantics: results print in period order).
+func coverageKind(raw json.RawMessage, _ string, tc *Trial) (any, bool, error) {
+	var P coverageParams
+	if err := json.Unmarshal(raw, &P); err != nil {
+		return nil, false, err
+	}
+	p, opts, err := P.Source.Program()
+	if err != nil {
+		return nil, false, err
+	}
+	opts.Obs = tc.Sink
+	opts.Faults = tc.Faults
+	res, err := RunCoverage(p, opts, P.Periods[tc.Index])
+	if err != nil {
+		return nil, false, err
+	}
+	return res, true, nil
+}
+
+// reportBuild is the instrumentation a failure-report bundle is captured
+// under: LBRLOG and LCRLOG with toggling.
+var reportBuild = core.Options{LBR: true, LCR: true, Toggling: true}
+
+// reportInst resolves app and its report build from the build cache.
+func reportInst(app string) (*apps.App, *core.Instrumented, error) {
+	a, err := kindApp(app)
+	if err != nil {
+		return nil, nil, err
+	}
+	inst, err := cachedBuild(a, reportBuild)
+	return a, inst, err
+}
+
+// ReportProgram returns the instrumented program app's failure-report
+// bundles are captured on, for auditing them. It shares the build cache
+// with the report-bundle kind, so an in-process search instruments once.
+func ReportProgram(app string) (*isa.Program, error) {
+	_, inst, err := reportInst(app)
+	if err != nil {
+		return nil, err
+	}
+	return inst.Prog, nil
+}
+
+// ReportParams parameterizes the failure-report seed search: trial i runs
+// App's failure workload at scheduler seed Seed+i.
+type ReportParams struct {
+	App  string `json:"app"`
+	Seed int64  `json:"seed"`
+}
+
+// ReportBundle is one failing run's encoded failure-report bundle and the
+// seed that produced it.
+type ReportBundle struct {
+	Seed int64  `json:"seed"`
+	Data []byte `json:"data"`
+}
+
+// reportBundleKind runs the failure workload under reportBuild and encodes
+// the bundle of a run that failed; a run that did not fail is rejected.
+func reportBundleKind(raw json.RawMessage, _ string, tc *Trial) (any, bool, error) {
+	var P ReportParams
+	if err := json.Unmarshal(raw, &P); err != nil {
+		return nil, false, err
+	}
+	a, inst, err := reportInst(P.App)
+	if err != nil {
+		return nil, false, err
+	}
+	seed := P.Seed + int64(tc.Index)
+	opts := a.Fail.VMOptions(seed)
+	opts.Driver = kernel.Driver{}
+	opts.SegvIoctls = inst.SegvIoctls
+	opts.LCRConfig = pmu.ConfSpaceConsuming
+	opts.Obs = tc.Sink
+	opts.Faults = tc.Faults
+	res, err := vm.Run(inst.Prog, opts)
+	if err != nil {
+		return nil, false, err
+	}
+	if !a.Fail.FailedRun(res) {
+		return nil, false, nil
+	}
+	data, err := trace.Encode(inst.Prog, res)
+	if err != nil {
+		return nil, false, err
+	}
+	return ReportBundle{Seed: seed, Data: data}, true, nil
 }

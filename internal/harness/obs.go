@@ -50,7 +50,7 @@ const (
 // closer attributes the parent sink's cycle-clock and run-count deltas to
 // "prof.phase.<phase>.*" and, with an app, "prof.app.<app>.<phase>.*".
 // Reading the parent registry is race-free and jobs-invariant here: phases
-// begin and end between pool fan-outs (Collect/Map are barriers), where the
+// begin and end between pool fan-outs (CollectKind/MapKind are barriers), where the
 // registry holds exactly the trials committed in trial order. No-op unless
 // the sink arms profiling.
 func beginPhase(cfg Config, app, phase string) func() {

@@ -33,9 +33,9 @@ func TestTrialSeedProperties(t *testing.T) {
 	}
 }
 
-// TestCollectJobsInvariance pins Collect's contract: accepted values,
-// attempt counts and merged telemetry are identical for every worker count,
-// and exactly the sequential prefix of trials is committed.
+// TestCollectJobsInvariance pins CollectKind's contract: accepted values,
+// attempt counts and merged telemetry are identical for every worker count
+// and executor, and exactly the sequential prefix of trials is committed.
 func TestCollectJobsInvariance(t *testing.T) {
 	const (
 		max  = 30
@@ -49,56 +49,49 @@ func TestCollectJobsInvariance(t *testing.T) {
 		}
 		wantAttempts = i + 1
 	}
-	for _, jobs := range testPoolJobs() {
+	P := script()
+	P.Scale, P.AcceptMod, P.Counter = 10, 3, "test.trials"
+	for _, v := range poolVariants() {
 		sink := &obs.Sink{Metrics: obs.NewRegistry()}
-		p := NewPool(jobs, sink)
-		out, attempts, err := Collect(p, max, need, "test", func(tc *Trial) (int, bool, error) {
-			tc.Sink.Counter("test.trials").Inc()
-			return tc.Index * 10, tc.Index%3 == 0, nil
-		})
+		p := v.pool(t, sink)
+		out, attempts, err := CollectKind[int](p, max, need, "test", "test-script", P)
 		if err != nil {
-			t.Fatalf("jobs=%d: %v", jobs, err)
+			t.Fatalf("%s: %v", v.name, err)
 		}
 		if attempts != wantAttempts {
-			t.Errorf("jobs=%d: attempts = %d, want %d", jobs, attempts, wantAttempts)
+			t.Errorf("%s: attempts = %d, want %d", v.name, attempts, wantAttempts)
 		}
-		if len(out) != len(wantVals) {
-			t.Fatalf("jobs=%d: out = %v, want %v", jobs, out, wantVals)
-		}
-		for i := range out {
-			if out[i] != wantVals[i] {
-				t.Errorf("jobs=%d: out[%d] = %d, want %d", jobs, i, out[i], wantVals[i])
-			}
+		if fmt.Sprint(out) != fmt.Sprint(wantVals) {
+			t.Errorf("%s: out = %v, want %v", v.name, out, wantVals)
 		}
 		snap := sink.Metrics.Snapshot()
 		if got := snap.Counter("test.trials"); got != uint64(wantAttempts) {
-			t.Errorf("jobs=%d: committed trial telemetry = %d, want exactly the sequential prefix %d",
-				jobs, got, wantAttempts)
+			t.Errorf("%s: committed trial telemetry = %d, want exactly the sequential prefix %d",
+				v.name, got, wantAttempts)
 		}
 		if got := snap.Counter("harness.pool.committed"); got != uint64(wantAttempts) {
-			t.Errorf("jobs=%d: pool.committed = %d, want %d", jobs, got, wantAttempts)
+			t.Errorf("%s: pool.committed = %d, want %d", v.name, got, wantAttempts)
 		}
 		executed := snap.Counter("harness.pool.trials")
 		discarded := snap.Counter("harness.pool.discarded")
 		if executed < uint64(wantAttempts) {
-			t.Errorf("jobs=%d: pool.trials = %d < attempts %d", jobs, executed, wantAttempts)
+			t.Errorf("%s: pool.trials = %d < attempts %d", v.name, executed, wantAttempts)
 		}
 		if executed != uint64(wantAttempts)+discarded {
-			t.Errorf("jobs=%d: trials(%d) != committed(%d) + discarded(%d)",
-				jobs, executed, wantAttempts, discarded)
+			t.Errorf("%s: trials(%d) != committed(%d) + discarded(%d)",
+				v.name, executed, wantAttempts, discarded)
 		}
-		if jobs == 1 && discarded != 0 {
+		if p.Jobs() == 1 && discarded != 0 {
 			t.Errorf("sequential path did speculative work: discarded = %d", discarded)
 		}
 	}
 }
 
 func TestCollectExhaustsBudget(t *testing.T) {
+	P := script()
+	P.AcceptMod = 4
 	for _, jobs := range testPoolJobs() {
-		p := NewPool(jobs, nil)
-		out, attempts, err := Collect(p, 6, 5, "test", func(tc *Trial) (int, bool, error) {
-			return tc.Index, tc.Index%4 == 0, nil
-		})
+		out, attempts, err := CollectKind[int](NewPool(jobs, nil), 6, 5, "test", "test-script", P)
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
@@ -112,17 +105,12 @@ func TestCollectExhaustsBudget(t *testing.T) {
 }
 
 func TestCollectErrorAborts(t *testing.T) {
-	boom := errors.New("trial 5 exploded")
+	P := script()
+	P.ErrAt, P.AcceptMod, P.AcceptRem = 5, 100, 8
 	for _, jobs := range testPoolJobs() {
-		p := NewPool(jobs, nil)
-		out, attempts, err := Collect(p, 20, 3, "test", func(tc *Trial) (int, bool, error) {
-			if tc.Index == 5 {
-				return 0, false, boom
-			}
-			return tc.Index, tc.Index == 8, nil
-		})
-		if !errors.Is(err, boom) {
-			t.Fatalf("jobs=%d: err = %v, want %v", jobs, err, boom)
+		out, attempts, err := CollectKind[int](NewPool(jobs, nil), 20, 3, "test", "test-script", P)
+		if !errors.Is(err, errScript) {
+			t.Fatalf("jobs=%d: err = %v, want %v", jobs, err, errScript)
 		}
 		if attempts != 6 {
 			t.Errorf("jobs=%d: attempts = %d, want 6 (abort at trial 5)", jobs, attempts)
@@ -134,40 +122,42 @@ func TestCollectErrorAborts(t *testing.T) {
 }
 
 func TestCollectDegenerate(t *testing.T) {
-	p := NewPool(4, nil)
-	called := false
-	fn := func(tc *Trial) (int, bool, error) { called = true; return 0, true, nil }
-	if out, n, err := Collect(p, 0, 3, "test", fn); out != nil || n != 0 || err != nil || called {
-		t.Errorf("Collect(max=0) = %v, %d, %v (called=%v)", out, n, err, called)
+	sink := &obs.Sink{Metrics: obs.NewRegistry()}
+	p := NewPool(4, sink)
+	P := script()
+	P.Counter = "test.calls"
+	if out, n, err := CollectKind[int](p, 0, 3, "test", "test-script", P); out != nil || n != 0 || err != nil {
+		t.Errorf("CollectKind(max=0) = %v, %d, %v", out, n, err)
 	}
-	if out, n, err := Collect(p, 3, 0, "test", fn); out != nil || n != 0 || err != nil || called {
-		t.Errorf("Collect(need=0) = %v, %d, %v (called=%v)", out, n, err, called)
+	if out, n, err := CollectKind[int](p, 3, 0, "test", "test-script", P); out != nil || n != 0 || err != nil {
+		t.Errorf("CollectKind(need=0) = %v, %d, %v", out, n, err)
+	}
+	if out, err := MapKind[int](p, 0, "test", "test-script", P); out != nil || err != nil {
+		t.Errorf("MapKind(n=0) = %v, %v", out, err)
+	}
+	snap := sink.Metrics.Snapshot()
+	if calls, trials := snap.Counter("test.calls"), snap.Counter("harness.pool.trials"); calls != 0 || trials != 0 {
+		t.Errorf("degenerate fan-outs ran trials: calls=%d pool.trials=%d", calls, trials)
 	}
 }
 
 func TestMapOrderAndAbort(t *testing.T) {
 	for _, jobs := range testPoolJobs() {
 		p := NewPool(jobs, nil)
-		out, err := Map(p, 7, "test", func(tc *Trial) (int, error) {
-			return tc.Index * tc.Index, nil
-		})
+		P := script()
+		P.Scale = 7
+		out, err := MapKind[int](p, 7, "test", "test-script", P)
 		if err != nil || len(out) != 7 {
-			t.Fatalf("jobs=%d: Map = %v, %v", jobs, out, err)
+			t.Fatalf("jobs=%d: MapKind = %v, %v", jobs, out, err)
 		}
 		for i, v := range out {
-			if v != i*i {
-				t.Errorf("jobs=%d: out[%d] = %d, want %d", jobs, i, v, i*i)
+			if v != 7*i {
+				t.Errorf("jobs=%d: out[%d] = %d, want %d", jobs, i, v, 7*i)
 			}
 		}
-		boom := errors.New("map failure")
-		_, err = Map(p, 7, "test", func(tc *Trial) (int, error) {
-			if tc.Index == 3 {
-				return 0, boom
-			}
-			return tc.Index, nil
-		})
-		if !errors.Is(err, boom) {
-			t.Errorf("jobs=%d: Map error = %v, want %v", jobs, err, boom)
+		P.ErrAt = 3
+		if _, err = MapKind[int](p, 7, "test", "test-script", P); !errors.Is(err, errScript) {
+			t.Errorf("jobs=%d: MapKind error = %v, want %v", jobs, err, errScript)
 		}
 	}
 }
@@ -175,17 +165,16 @@ func TestMapOrderAndAbort(t *testing.T) {
 func TestFirstIndexSemantics(t *testing.T) {
 	for _, jobs := range testPoolJobs() {
 		p := NewPool(jobs, nil)
-		v, idx, err := First(p, 20, "test", func(tc *Trial) (string, bool, error) {
-			return fmt.Sprintf("trial-%d", tc.Index), tc.Index == 7, nil
-		})
-		if err != nil || idx != 7 || v != "trial-7" {
-			t.Errorf("jobs=%d: First = %q, %d, %v; want trial-7, 7", jobs, v, idx, err)
+		P := script()
+		P.Scale, P.AcceptMod, P.AcceptRem = 10, 100, 7
+		v, idx, err := FirstKind[int](p, 20, "test", "test-script", P)
+		if err != nil || idx != 7 || v != 70 {
+			t.Errorf("jobs=%d: FirstKind = %d, %d, %v; want 70, 7", jobs, v, idx, err)
 		}
-		_, idx, err = First(p, 5, "test", func(tc *Trial) (string, bool, error) {
-			return "", false, nil
-		})
+		P.AcceptMod = 0
+		_, idx, err = FirstKind[int](p, 5, "test", "test-script", P)
 		if err != nil || idx != -1 {
-			t.Errorf("jobs=%d: First(no match) idx = %d, err = %v; want -1, nil", jobs, idx, err)
+			t.Errorf("jobs=%d: FirstKind(no match) idx = %d, err = %v; want -1, nil", jobs, idx, err)
 		}
 	}
 }
@@ -201,15 +190,11 @@ func TestCollectSurvivesPanickingTrial(t *testing.T) {
 		need   = 11
 		victim = 4
 	)
+	P := script()
+	P.PanicAt = victim
 	for _, jobs := range testPoolJobs() {
 		sink := &obs.Sink{Metrics: obs.NewRegistry()}
-		p := NewPool(jobs, sink)
-		out, attempts, err := Collect(p, max, need, "test", func(tc *Trial) (int, bool, error) {
-			if tc.Index == victim {
-				panic(fmt.Sprintf("trial %d attempt %d exploded", tc.Index, tc.Attempt))
-			}
-			return tc.Index, true, nil
-		})
+		out, attempts, err := CollectKind[int](NewPool(jobs, sink), max, need, "test", "test-script", P)
 		if err != nil {
 			t.Fatalf("jobs=%d: err = %v, want nil (degraded trial is not fatal)", jobs, err)
 		}
@@ -222,13 +207,8 @@ func TestCollectSurvivesPanickingTrial(t *testing.T) {
 				want = append(want, i)
 			}
 		}
-		if len(out) != len(want) {
-			t.Fatalf("jobs=%d: out = %v, want every trial but %d: %v", jobs, out, victim, want)
-		}
-		for i := range out {
-			if out[i] != want[i] {
-				t.Errorf("jobs=%d: out[%d] = %d, want %d", jobs, i, out[i], want[i])
-			}
+		if fmt.Sprint(out) != fmt.Sprint(want) {
+			t.Errorf("jobs=%d: out = %v, want every trial but %d: %v", jobs, out, victim, want)
 		}
 		snap := sink.Metrics.Snapshot()
 		wantAttempts := uint64(faultinj.DefaultRetries + 1)
@@ -248,22 +228,13 @@ func TestCollectSurvivesPanickingTrial(t *testing.T) {
 // panic that clears on the retry yields the trial's value as if nothing
 // happened, costing one retry and zero degradations.
 func TestRetryRecoversTransientPanic(t *testing.T) {
+	P := script()
+	P.PanicAt, P.PanicAttempts = 2, 1
 	for _, jobs := range testPoolJobs() {
 		sink := &obs.Sink{Metrics: obs.NewRegistry()}
-		p := NewPool(jobs, sink)
-		out, _, err := Collect(p, 5, 5, "test", func(tc *Trial) (int, bool, error) {
-			if tc.Index == 2 && tc.Attempt == 0 {
-				panic("transient")
-			}
-			return tc.Index, true, nil
-		})
-		if err != nil || len(out) != 5 {
-			t.Fatalf("jobs=%d: Collect = %v, %v; want all 5 trials", jobs, out, err)
-		}
-		for i, v := range out {
-			if v != i {
-				t.Errorf("jobs=%d: out[%d] = %d, want %d", jobs, i, v, i)
-			}
+		out, _, err := CollectKind[int](NewPool(jobs, sink), 5, 5, "test", "test-script", P)
+		if err != nil || fmt.Sprint(out) != "[0 1 2 3 4]" {
+			t.Fatalf("jobs=%d: CollectKind = %v, %v; want all 5 trials", jobs, out, err)
 		}
 		snap := sink.Metrics.Snapshot()
 		if got := snap.Counter("harness.pool.retries"); got != 1 {
@@ -275,20 +246,17 @@ func TestRetryRecoversTransientPanic(t *testing.T) {
 	}
 }
 
-// TestMapDegradedIsHardError: Map callers index results positionally, so a
-// degraded trial must surface as a *TrialError, not silently go missing.
+// TestMapDegradedIsHardError: MapKind callers index results positionally,
+// so a degraded trial must surface as a *TrialError, not silently go
+// missing.
 func TestMapDegradedIsHardError(t *testing.T) {
+	P := script()
+	P.PanicAt = 3
 	for _, jobs := range testPoolJobs() {
-		p := NewPool(jobs, nil)
-		_, err := Map(p, 6, "maptest", func(tc *Trial) (int, error) {
-			if tc.Index == 3 {
-				panic("positional trial down")
-			}
-			return tc.Index, nil
-		})
+		_, err := MapKind[int](NewPool(jobs, nil), 6, "maptest", "test-script", P)
 		var te *TrialError
 		if !errors.As(err, &te) {
-			t.Fatalf("jobs=%d: Map error = %v, want *TrialError", jobs, err)
+			t.Fatalf("jobs=%d: MapKind error = %v, want *TrialError", jobs, err)
 		}
 		if te.Trial != 3 || te.Label != "maptest" || te.Attempts != faultinj.DefaultRetries+1 {
 			t.Errorf("jobs=%d: TrialError = %+v, want trial 3 of maptest after %d attempts",
@@ -300,7 +268,7 @@ func TestMapDegradedIsHardError(t *testing.T) {
 // TestWithFaultsInjectedPanicDeterminism: armed with a panic layer, the
 // pool schedules crashes from the derived plan — which trials degrade, the
 // surviving values, and every faultinj/pool counter must be identical for
-// all worker counts and across repeated runs.
+// all worker counts, both executors and across repeated runs.
 func TestWithFaultsInjectedPanicDeterminism(t *testing.T) {
 	spec, err := faultinj.ParseSpec("panic=0.3,retries=1,seed=99")
 	if err != nil {
@@ -312,15 +280,13 @@ func TestWithFaultsInjectedPanicDeterminism(t *testing.T) {
 		metrics  string
 	}
 	var want *outcome
-	for _, jobs := range testPoolJobs() {
+	for _, v := range poolVariants() {
 		for rep := 0; rep < 2; rep++ {
 			sink := &obs.Sink{Metrics: obs.NewRegistry()}
-			p := NewPool(jobs, sink).WithFaults(spec, 7)
-			out, attempts, err := Collect(p, 40, 40, "faulttest", func(tc *Trial) (int, bool, error) {
-				return tc.Index, true, nil
-			})
+			p := v.pool(t, sink).WithFaults(spec, 7)
+			out, attempts, err := CollectKind[int](p, 40, 40, "faulttest", "test-script", script())
 			if err != nil {
-				t.Fatalf("jobs=%d rep=%d: %v", jobs, rep, err)
+				t.Fatalf("%s rep=%d: %v", v.name, rep, err)
 			}
 			snap := sink.Metrics.Snapshot()
 			got := &outcome{vals: out, attempts: attempts}
@@ -342,8 +308,8 @@ func TestWithFaultsInjectedPanicDeterminism(t *testing.T) {
 			}
 			if got.attempts != want.attempts || got.metrics != want.metrics ||
 				fmt.Sprint(got.vals) != fmt.Sprint(want.vals) {
-				t.Errorf("jobs=%d rep=%d: outcome diverged\n got: %v %d %s\nwant: %v %d %s",
-					jobs, rep, got.vals, got.attempts, got.metrics,
+				t.Errorf("%s rep=%d: outcome diverged\n got: %v %d %s\nwant: %v %d %s",
+					v.name, rep, got.vals, got.attempts, got.metrics,
 					want.vals, want.attempts, want.metrics)
 			}
 		}

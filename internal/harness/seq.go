@@ -380,7 +380,7 @@ func runCBI(a *apps.App, cfg Config, pool *Pool) (int, error) {
 	collect := func(wantFail bool, n int, label string) ([]cbi.RunObs, error) {
 		stream := a.Name + "/" + label
 		out, _, err := CollectKind[cbi.RunObs](pool, n*4, n, stream, "cbi-run",
-			cbiRunParams{App: a.Name, WantFail: wantFail, Rate: cfg.CBIRate, Seed: cfg.Seed})
+			cbiRunParams{App: a.Name, WantFail: wantFail, Rate: cfg.CBIRate, Seed: cfg.Seed, Salt: 31337})
 		if err != nil {
 			return nil, err
 		}

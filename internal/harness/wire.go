@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 	"strconv"
+	"time"
 
 	"stmdiag/internal/artifact"
 	"stmdiag/internal/faultinj"
@@ -17,22 +18,20 @@ import (
 )
 
 // This file is the portable-trial layer: trial bodies expressed as data
-// (a kind name plus JSON params) instead of closures, so one trial can be
-// executed by the in-process worker, shipped to a subprocess worker, or
-// loaded back from the durable artifact store — and produce byte-identical
-// results in all three cases.
+// (a kind name plus JSON params), so one trial can be executed by the
+// in-process worker, shipped to a subprocess worker, or loaded back from
+// the durable artifact store — and produce byte-identical results in all
+// three cases.
 //
 // The identity argument: every execution path funnels through executeWire,
-// which replicates the pool's attempt loop (fault plans, retry budget,
-// flight events, degradation) exactly; and every result value crosses a
-// JSON round trip even in-process, so "fresh in-process", "fresh
-// subprocess" and "resumed from the store" are literally the same bytes by
-// construction, not by careful equivalence.
-//
-// Streams whose bodies are closures over in-memory state (the generated
-// bug corpus, coverage sweeps, adaptive search) remain "pinned": they run
-// through the same pool via Collect/Map/First, always in-process, and are
-// simply re-executed on resume. Resumable is exactly portable.
+// the pool's one attempt loop (fault plans, retry budget, flight events,
+// degradation); and every result value crosses a JSON round trip even
+// in-process, so "fresh in-process", "fresh subprocess" and "resumed from
+// the store" are literally the same bytes by construction, not by careful
+// equivalence. Every stream the harness runs — the tables, the generated
+// bug corpus, coverage sweeps, adaptive search, the report seed search —
+// is a registered kind (kinds.go), so every one of them can run on any
+// executor and resume from the store.
 
 // TrialRequest is one trial, as data. Its identity — what the artifact key
 // hashes — is (Stream, Index, Kind, Params, Faults, FaultSeed). The
@@ -134,11 +133,12 @@ func registerKind(name string, fn kindFunc) {
 	trialKinds[name] = fn
 }
 
-// wireSink builds the sink one wire trial runs against, mirroring
-// Pool.trialSink: private registry, private flight ring, private tracer.
-// Arming is purely request-driven, so the in-process executor and a
-// subprocess worker build bit-for-bit the same sink for the same request —
-// the federation identity starts here.
+// wireSink builds the private sink one trial runs against: its own metrics
+// registry, its own flight-recorder ring (the per-worker short-term memory
+// of the trial it is running) and its own tracer, each armed only when the
+// parent sink carries that instrument. Arming is purely request-driven, so
+// the in-process executor and a subprocess worker build bit-for-bit the
+// same sink for the same request — the federation identity starts here.
 func wireSink(req *TrialRequest) *obs.Sink {
 	if !req.Metrics && !req.Flight && !req.Trace && !req.Profiling {
 		return nil
@@ -156,9 +156,13 @@ func wireSink(req *TrialRequest) *obs.Sink {
 	return s
 }
 
-// executeWire runs one portable trial to completion: the same attempt loop
-// as runTrial — per-attempt fault plans, panic recovery, deterministic
-// retry budget, flight events, degradation — expressed over wire types.
+// executeWire runs one portable trial to completion through the attempt
+// loop: recover every panic, re-attempt up to the deterministic retry
+// budget, then mark the trial degraded. One sink spans all attempts of the
+// trial, so a panicked attempt's partial telemetry commits with it
+// (deterministically — the attempt sequence is a pure function of the
+// request). Counters are recorded on the trial sink, not the pool, so their
+// merged totals stay jobs-invariant.
 func executeWire(req *TrialRequest) *TrialResponse {
 	kf, known := trialKinds[req.Kind]
 	if !known {
@@ -167,7 +171,6 @@ func executeWire(req *TrialRequest) *TrialResponse {
 	}
 	s := wireSink(req)
 	resp := &TrialResponse{HasFlight: s != nil && s.Flight != nil}
-	body := func(tc *Trial) (any, bool, error) { return kf(req.Params, req.Stream, tc) }
 	budget := req.Faults.RetryBudget()
 	lastAttempt := 0
 	for attempt := 0; ; attempt++ {
@@ -182,7 +185,7 @@ func executeWire(req *TrialRequest) *TrialResponse {
 			Sink:    s,
 			Faults:  faultinj.NewPlan(req.Faults, req.FaultSeed, req.Stream, req.Index, attempt, s),
 		}
-		v, ok, err, pan := guardedCall(body, tc)
+		v, ok, err, pan := guardedCall(kf, req, tc)
 		if pan == nil {
 			switch {
 			case err != nil:
@@ -208,8 +211,8 @@ func executeWire(req *TrialRequest) *TrialResponse {
 			resp.Degraded = &TrialDegraded{
 				Attempts: attempt + 1,
 				Panic:    fmt.Sprint(pan),
-				// The segfault-handler moment, same as runTrial: read the
-				// worker's ring while the failure is in short-term memory.
+				// The segfault-handler moment: read the worker's ring while
+				// the failure is still in its short-term memory.
 				Events: s.FlightRecorder().Snapshot(),
 				pan:    pan,
 			}
@@ -240,6 +243,23 @@ func executeWire(req *TrialRequest) *TrialResponse {
 		Attempt: lastAttempt, Worker: selfWorkerID(),
 	}
 	return resp
+}
+
+// guardedCall invokes the trial body under recover, converting a panic into
+// a non-nil pan result. The injected trial-panic layer fires here, inside
+// the guard, so scheduled crashes exercise exactly the recovery path real
+// ones take.
+func guardedCall(kf kindFunc, req *TrialRequest, tc *Trial) (v any, ok bool, err error, pan any) {
+	defer func() {
+		if r := recover(); r != nil {
+			v, ok, err, pan = nil, false, nil, r
+		}
+	}()
+	if tc.Faults.Hit(faultinj.TrialPanic) {
+		panic(faultinj.InjectedPanic{Trial: tc.Index, Attempt: tc.Attempt})
+	}
+	v, ok, err = kf(req.Params, req.Stream, tc)
+	return
 }
 
 // selfWorkerID reports which executor worker this process is (from the
@@ -277,13 +297,7 @@ func requestKey(req *TrialRequest) string {
 // wireOutcome converts an executed (or resumed) TrialResponse into the
 // pool's trialOutcome, decoding the value and reconstructing degradation.
 func wireOutcome[T any](label string, i int, resp *TrialResponse, persist func()) trialOutcome[T] {
-	o := trialOutcome[T]{telemetry: trialTelemetry{
-		metrics: resp.Metrics,
-		flight:  resp.Flight,
-		hasRing: resp.HasFlight,
-		trace:   resp.Trace,
-		persist: persist,
-	}}
+	o := trialOutcome[T]{resp: resp, persist: persist}
 	if d := resp.Degraded; d != nil {
 		var pan any = d.Panic
 		if d.pan != nil {
@@ -328,17 +342,28 @@ func decodeStored(data []byte) (*TrialResponse, error) {
 	return &resp, nil
 }
 
-// wireRunner dispatches portable trials through the pool's executor, with
+// fanOut is one CollectKind/MapKind/FirstKind call: a stream of trials
+// sharing a kind and its params, marshaled once per fan-out.
+type fanOut struct {
+	stream, kind string
+	params       json.RawMessage
+}
+
+// newFanOut marshals a fan-out's params.
+func newFanOut(stream, kind string, params any) (fanOut, error) {
+	raw, err := json.Marshal(params)
+	if err != nil {
+		return fanOut{}, fmt.Errorf("harness: encode %q params for %q: %w", kind, stream, err)
+	}
+	return fanOut{stream: stream, kind: kind, params: raw}, nil
+}
+
+// runOne dispatches trial i of a fan-out through the pool's executor, with
 // the artifact store as a read-through/write-behind cache: a verified
 // stored result skips execution entirely; a fresh result is persisted at
 // commit time, in trial order.
-type wireRunner[T any] struct {
-	kind   string
-	params json.RawMessage
-}
-
-func (r wireRunner[T]) runOne(p *Pool, w int, label string, i int) trialOutcome[T] {
-	req := p.wireRequest(label, i, r.kind, r.params)
+func runOne[T any](p *Pool, w int, f fanOut, i int) trialOutcome[T] {
+	req := p.wireRequest(f.stream, i, f.kind, f.params)
 	var key string
 	if p.store != nil {
 		key = requestKey(req)
@@ -352,56 +377,72 @@ func (r wireRunner[T]) runOne(p *Pool, w int, label string, i int) trialOutcome[
 			p.sink.Counter("artifact.reexecuted").Inc()
 		} else if hit {
 			if resp, derr := decodeStored(data); derr == nil {
-				return wireOutcome[T](label, i, resp, nil)
+				return wireOutcome[T](f.stream, i, resp, nil)
 			}
 		}
 	}
-	return timedRun(p, w, func() trialOutcome[T] {
-		resp, err := p.executor().Run(req)
-		if err != nil {
-			// Executor infrastructure failure (worker crashed repeatedly,
-			// timed out past the retry budget): degrade the trial rather
-			// than kill the run — identical handling to a trial whose every
-			// attempt panicked. An *ExecutorError carries the crash flight
-			// events (worker id, stderr tail) into the TrialError's tail.
-			p.sink.Counter("harness.executor.failed_trials").Inc()
-			te := &TrialError{Label: label, Trial: i, Attempts: 1, Panic: err}
-			var ee *ExecutorError
-			if errors.As(err, &ee) {
-				te.Attempts = ee.Attempts
-				te.Events = ee.Events
-			}
-			return trialOutcome[T]{degraded: te}
+	// The busy timestamps never feed anything committed: trial outcomes
+	// and merged telemetry stay pure functions of the request.
+	start := time.Now()
+	resp, err := p.exec.Run(req)
+	if p.workerBusy != nil {
+		p.workerBusy[w].Add(uint64(time.Since(start)))
+	}
+	if err != nil {
+		// Executor infrastructure failure (worker crashed repeatedly, timed
+		// out past the retry budget): degrade the trial rather than kill
+		// the run — identical handling to a trial whose every attempt
+		// panicked. An *ExecutorError carries the crash flight events
+		// (worker id, stderr tail) into the TrialError's tail.
+		p.sink.Counter("harness.executor.failed_trials").Inc()
+		te := &TrialError{Label: f.stream, Trial: i, Attempts: 1, Panic: err}
+		var ee *ExecutorError
+		if errors.As(err, &ee) {
+			te.Attempts = ee.Attempts
+			te.Events = ee.Events
 		}
-		var persist func()
-		if p.store != nil {
-			store, stream, trial := p.store, label, i
-			persist = func() {
-				if data, err := encodeStored(resp); err == nil {
-					// Put failures are counted by the store, never fatal:
-					// losing durability must not fail a healthy trial.
-					_ = store.Put(stream, trial, key, data)
-				}
+		return trialOutcome[T]{degraded: te}
+	}
+	var persist func()
+	if p.store != nil {
+		persist = func() {
+			if data, err := encodeStored(resp); err == nil {
+				// Put failures are counted by the store, never fatal:
+				// losing durability must not fail a healthy trial.
+				_ = p.store.Put(f.stream, i, key, data)
 			}
 		}
-		return wireOutcome[T](label, i, resp, persist)
-	})
+	}
+	return wireOutcome[T](f.stream, i, resp, persist)
 }
 
-// CollectKind is Collect for portable trials: the body is named by kind and
-// parameterized by params (JSON-marshaled) instead of captured in a
-// closure, so trials can run on any executor and resume from the artifact
-// store. Selection, ordering and telemetry semantics are exactly Collect's.
+// CollectKind runs trials 0, 1, ... of stream until `need` have been
+// accepted or `max` are exhausted, fanning them across the pool's workers.
+// The body is the registered kind, parameterized by params (JSON-marshaled
+// once), so trials can run on any executor and resume from the artifact
+// store. It returns the accepted values in trial-index order and the
+// attempt count: the number of leading trials the sequential path would
+// have executed (decisive index + 1). A rejected trial (ok=false) still
+// counts toward attempts and telemetry, like a success run that happened to
+// fail; a trial error aborts the collection at that trial; a degraded trial
+// (every attempt panicked) is rejected, not fatal.
+//
+// The returned values, attempts and merged telemetry are byte-identical
+// for every jobs setting: acceptance is decided purely by trial index, and
+// speculative trials past the decisive index are discarded unmerged.
 func CollectKind[T any](p *Pool, max, need int, stream, kind string, params any) ([]T, int, error) {
-	rn, err := newWireRunner[T](stream, kind, params)
+	f, err := newFanOut(stream, kind, params)
 	if err != nil {
 		return nil, 0, err
 	}
-	out, attempts, _, err := run[T](p, max, need, stream, rn)
+	out, attempts, _, err := run[T](p, max, need, f)
 	return out, attempts, err
 }
 
-// FirstKind is First for portable trials.
+// FirstKind runs trials 0..max-1 and returns the first accepted result in
+// trial order along with its trial index, or index -1 if no trial was
+// accepted. Like CollectKind, the result is independent of the worker
+// count.
 func FirstKind[T any](p *Pool, max int, stream, kind string, params any) (T, int, error) {
 	out, attempts, err := CollectKind[T](p, max, 1, stream, kind, params)
 	if err != nil || len(out) == 0 {
@@ -411,14 +452,18 @@ func FirstKind[T any](p *Pool, max int, stream, kind string, params any) (T, int
 	return out[0], attempts - 1, nil
 }
 
-// MapKind is Map for portable trials: all n results in index order, and a
-// degraded trial is a hard error (positional callers cannot skip).
+// MapKind runs trials 0..n-1 of stream and returns all n results in index
+// order. The first error (in trial-index order) aborts and is returned.
+// Unlike CollectKind, a degraded trial is a hard error: MapKind callers
+// index results positionally (Table 9's corpus, the coverage period sweep,
+// the overhead averages), so a silently missing element would misalign or
+// skew them.
 func MapKind[T any](p *Pool, n int, stream, kind string, params any) ([]T, error) {
-	rn, err := newWireRunner[T](stream, kind, params)
+	f, err := newFanOut(stream, kind, params)
 	if err != nil {
 		return nil, err
 	}
-	out, _, degraded, err := run[T](p, n, n, stream, rn)
+	out, _, degraded, err := run[T](p, n, n, f)
 	if err != nil {
 		return out, err
 	}
@@ -426,15 +471,6 @@ func MapKind[T any](p *Pool, n int, stream, kind string, params any) ([]T, error
 		return out, degraded
 	}
 	return out, nil
-}
-
-// newWireRunner marshals params once per fan-out.
-func newWireRunner[T any](stream, kind string, params any) (wireRunner[T], error) {
-	raw, err := json.Marshal(params)
-	if err != nil {
-		return wireRunner[T]{}, fmt.Errorf("harness: encode %q params for %q: %w", kind, stream, err)
-	}
-	return wireRunner[T]{kind: kind, params: raw}, nil
 }
 
 // Executor runs portable trials. Implementations must be safe for

@@ -38,76 +38,90 @@ func ovParams() meanCyclesParams {
 
 func testWireSink() *obs.Sink { return &obs.Sink{Metrics: obs.NewRegistry()} }
 
+// equivInput is one portable stream the executor-equivalence and
+// kill-resume suites hold to identical results: n trials of a kind, mapped
+// in order.
+type equivInput struct {
+	name string
+	run  func(p *Pool, stream string, n int) (any, error)
+}
+
+// equivInputs are a cheap overhead run and a Table 9 corpus program (one
+// per cell, so the first eight trials cover both concurrent bug classes
+// and the ninth and tenth a sequential one).
+func equivInputs() []equivInput {
+	return []equivInput{
+		{"mean-cycles", func(p *Pool, stream string, n int) (any, error) {
+			return MapKind[uint64](p, n, stream+"/ov", "mean-cycles", ovParams())
+		}},
+		{"corpus-program", func(p *Pool, stream string, n int) (any, error) {
+			return MapKind[corpusOutcome](p, n, stream+"/corpus", "corpus-program", corpusParams{
+				PerCell: 1, MaxAttempts: 200, FailRuns: 4, SuccRuns: 4,
+			})
+		}},
+	}
+}
+
 // TestExecutorEquivalence is the tentpole acceptance at the API level:
 // portable trial results are identical across executor {inproc,subprocess}
 // × jobs {1,4} × {fresh, store-backed, resumed-from-store}.
 func TestExecutorEquivalence(t *testing.T) {
-	const n = 6
-	dir := t.TempDir()
-	variants := []struct {
-		name string
-		run  func(t *testing.T) []uint64
-	}{
-		{"inproc-jobs1", func(t *testing.T) []uint64 {
-			out, err := MapKind[uint64](NewPool(1, nil), n, "eq/ov", "mean-cycles", ovParams())
+	const n = 10
+	for _, in := range equivInputs() {
+		dir := t.TempDir()
+		mapOn := func(t *testing.T, p *Pool) any {
+			out, err := in.run(p, "eq", n)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return out
-		}},
-		{"inproc-jobs4", func(t *testing.T) []uint64 {
-			out, err := MapKind[uint64](NewPool(4, nil), n, "eq/ov", "mean-cycles", ovParams())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return out
-		}},
-		{"subprocess-jobs1", func(t *testing.T) []uint64 { return subprocMap(t, 1, n) }},
-		{"subprocess-jobs4", func(t *testing.T) []uint64 { return subprocMap(t, 4, n) }},
-		{"store-fresh", func(t *testing.T) []uint64 {
-			// Populates dir for the resumed variant below.
-			store, err := artifact.Open(dir, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer store.Close()
-			out, err := MapKind[uint64](NewPool(4, nil).WithArtifacts(store), n, "eq/ov", "mean-cycles", ovParams())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return out
-		}},
-		{"store-resumed", func(t *testing.T) []uint64 {
-			sink := testWireSink()
-			store, err := artifact.Open(dir, sink)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer store.Close()
-			out, err := MapKind[uint64](NewPool(2, sink).WithArtifacts(store), n, "eq/ov", "mean-cycles", ovParams())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if hits := sink.Metrics.Snapshot().Counter("artifact.hits"); hits != n {
-				t.Errorf("resumed run hit the store %d times, want %d (no re-execution)", hits, n)
-			}
-			return out
-		}},
-	}
-	var want []uint64
-	for _, v := range variants {
-		got := v.run(t)
-		if want == nil {
-			want = got
-			continue
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: results diverge: %v vs %v", v.name, got, want)
+		variants := []struct {
+			name string
+			run  func(t *testing.T) any
+		}{
+			{"inproc-jobs1", func(t *testing.T) any { return mapOn(t, NewPool(1, nil)) }},
+			{"inproc-jobs4", func(t *testing.T) any { return mapOn(t, NewPool(4, nil)) }},
+			{"subprocess-jobs1", func(t *testing.T) any { return subprocMap(t, mapOn, 1) }},
+			{"subprocess-jobs4", func(t *testing.T) any { return subprocMap(t, mapOn, 4) }},
+			{"store-fresh", func(t *testing.T) any {
+				// Populates dir for the resumed variant below.
+				store, err := artifact.Open(dir, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer store.Close()
+				return mapOn(t, NewPool(4, nil).WithArtifacts(store))
+			}},
+			{"store-resumed", func(t *testing.T) any {
+				sink := testWireSink()
+				store, err := artifact.Open(dir, sink)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer store.Close()
+				out := mapOn(t, NewPool(2, sink).WithArtifacts(store))
+				if hits := sink.Metrics.Snapshot().Counter("artifact.hits"); hits != n {
+					t.Errorf("resumed run hit the store %d times, want %d (no re-execution)", hits, n)
+				}
+				return out
+			}},
+		}
+		var want any
+		for _, v := range variants {
+			got := v.run(t)
+			if want == nil {
+				want = got
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %s: results diverge: %v vs %v", in.name, v.name, got, want)
+			}
 		}
 	}
 }
 
-func subprocMap(t *testing.T, jobs, n int) []uint64 {
+func subprocMap(t *testing.T, mapOn func(*testing.T, *Pool) any, jobs int) any {
 	t.Helper()
 	sink := testWireSink()
 	e, err := NewSubprocExecutor(SubprocOptions{Sink: sink})
@@ -115,10 +129,7 @@ func subprocMap(t *testing.T, jobs, n int) []uint64 {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	out, err := MapKind[uint64](NewPool(jobs, sink).WithExecutor(e), n, "eq/ov", "mean-cycles", ovParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := mapOn(t, NewPool(jobs, sink).WithExecutor(e))
 	if spawns := sink.Metrics.Snapshot().Counter("harness.executor.spawns"); spawns == 0 {
 		t.Error("subprocess run spawned no workers")
 	}
@@ -131,44 +142,46 @@ func subprocMap(t *testing.T, jobs, n int) []uint64 {
 // the missing trials re-execute. Each resumed run fully repairs the
 // manifest, so the next, shorter truncation starts from a complete store.
 func TestKillResumeEquivalence(t *testing.T) {
-	const n = 8
-	dir := t.TempDir()
-	open := func(sink *obs.Sink) *artifact.Store {
-		s, err := artifact.Open(dir, sink)
+	const n = 10
+	for _, in := range equivInputs() {
+		dir := t.TempDir()
+		open := func(sink *obs.Sink) *artifact.Store {
+			s, err := artifact.Open(dir, sink)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		store := open(nil)
+		manifest := store.ManifestPath()
+		want, err := in.run(NewPool(3, nil).WithArtifacts(store), "kr", n)
 		if err != nil {
 			t.Fatal(err)
-		}
-		return s
-	}
-	store := open(nil)
-	manifest := store.ManifestPath()
-	want, err := MapKind[uint64](NewPool(3, nil).WithArtifacts(store), n, "kr/ov", "mean-cycles", ovParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.Close()
-
-	for _, keep := range []int{5, 2, 0} {
-		if err := artifact.TruncateJournal(manifest, keep); err != nil {
-			t.Fatal(err)
-		}
-		sink := testWireSink()
-		store := open(sink)
-		got, err := MapKind[uint64](NewPool(3, sink).WithArtifacts(store), n, "kr/ov", "mean-cycles", ovParams())
-		if err != nil {
-			t.Fatalf("keep=%d: %v", keep, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("keep=%d: resumed results diverge: %v vs %v", keep, got, want)
-		}
-		snap := sink.Metrics.Snapshot()
-		if hits := snap.Counter("artifact.hits"); hits != uint64(keep) {
-			t.Errorf("keep=%d: store hits = %d, want %d", keep, hits, keep)
-		}
-		if puts := snap.Counter("artifact.puts"); puts != uint64(n-keep) {
-			t.Errorf("keep=%d: fresh puts = %d, want %d", keep, puts, n-keep)
 		}
 		store.Close()
+
+		for _, keep := range []int{5, 2, 0} {
+			if err := artifact.TruncateJournal(manifest, keep); err != nil {
+				t.Fatal(err)
+			}
+			sink := testWireSink()
+			store := open(sink)
+			got, err := in.run(NewPool(3, sink).WithArtifacts(store), "kr", n)
+			if err != nil {
+				t.Fatalf("%s keep=%d: %v", in.name, keep, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s keep=%d: resumed results diverge: %v vs %v", in.name, keep, got, want)
+			}
+			snap := sink.Metrics.Snapshot()
+			if hits := snap.Counter("artifact.hits"); hits != uint64(keep) {
+				t.Errorf("%s keep=%d: store hits = %d, want %d", in.name, keep, hits, keep)
+			}
+			if puts := snap.Counter("artifact.puts"); puts != uint64(n-keep) {
+				t.Errorf("%s keep=%d: fresh puts = %d, want %d", in.name, keep, puts, n-keep)
+			}
+			store.Close()
+		}
 	}
 }
 

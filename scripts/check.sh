@@ -100,15 +100,28 @@ if "$EXP" -corpus -corpus-n -1 >/dev/null 2>&1; then
     exit 1
 fi
 
+# The executor and resume identity gates below cover Table 3 and Table 9.
+# gate_table N sets REF, the in-process -jobs 1 render of table N from
+# above, and FLAGS, the experiments flags that render it.
+gate_table() {
+    case "$1" in
+    3) REF="${TMPDIR:-/tmp}/stmdiag-check-seq.txt" FLAGS="-table 3" ;;
+    9) REF="${TMPDIR:-/tmp}/stmdiag-check-c1.txt" FLAGS="-corpus -corpus-n 2 -failruns 4 -succruns 4" ;;
+    esac
+}
+
 echo "== -executor subprocess identity"
 # The multi-process executor must render the same golden bytes the
 # sequential in-process run produced above (trials funnel through the same
 # portable-trial path whatever the engine).
-"$EXP" -table 3 -jobs 4 -executor subprocess 2>/dev/null >"${TMPDIR:-/tmp}/stmdiag-check-sub.txt"
-if ! cmp -s "${TMPDIR:-/tmp}/stmdiag-check-seq.txt" "${TMPDIR:-/tmp}/stmdiag-check-sub.txt"; then
-    echo "stdout differs between -executor inproc and -executor subprocess" >&2
-    exit 1
-fi
+for gt in 3 9; do
+    gate_table "$gt"
+    "$EXP" $FLAGS -jobs 4 -executor subprocess 2>/dev/null >"${TMPDIR:-/tmp}/stmdiag-check-sub.txt"
+    if ! cmp -s "$REF" "${TMPDIR:-/tmp}/stmdiag-check-sub.txt"; then
+        echo "table $gt stdout differs between -executor inproc and -executor subprocess" >&2
+        exit 1
+    fi
+done
 
 echo "== federated telemetry determinism"
 # The federation gate: a full-telemetry run must render byte-identical
@@ -159,23 +172,26 @@ echo "== kill -9 -> -resume identity"
 # from its artifact store, and demand the golden bytes — finished trials
 # load from disk, the rest re-execute.
 RESUME_DIR="${TMPDIR:-/tmp}/stmdiag-check-resume"
-rm -rf "$RESUME_DIR"
-"$EXP" -table 3 -jobs 2 -resume "$RESUME_DIR" >/dev/null 2>&1 &
-KILL_PID=$!
-sleep 0.3
-kill -9 "$KILL_PID" 2>/dev/null || true
-wait "$KILL_PID" 2>/dev/null || true
-"$EXP" -table 3 -jobs 4 -resume "$RESUME_DIR" 2>/dev/null >"${TMPDIR:-/tmp}/stmdiag-check-res.txt"
-if ! cmp -s "${TMPDIR:-/tmp}/stmdiag-check-seq.txt" "${TMPDIR:-/tmp}/stmdiag-check-res.txt"; then
-    echo "stdout differs after kill -9 and -resume" >&2
-    exit 1
-fi
-# A second resume replays the now-complete store and must match again.
-"$EXP" -table 3 -jobs 1 -resume "$RESUME_DIR" 2>/dev/null >"${TMPDIR:-/tmp}/stmdiag-check-res2.txt"
-if ! cmp -s "${TMPDIR:-/tmp}/stmdiag-check-seq.txt" "${TMPDIR:-/tmp}/stmdiag-check-res2.txt"; then
-    echo "stdout differs on warm -resume replay" >&2
-    exit 1
-fi
+for gt in 3 9; do
+    gate_table "$gt"
+    rm -rf "$RESUME_DIR"
+    "$EXP" $FLAGS -jobs 2 -resume "$RESUME_DIR" >/dev/null 2>&1 &
+    KILL_PID=$!
+    sleep 0.1
+    kill -9 "$KILL_PID" 2>/dev/null || true
+    wait "$KILL_PID" 2>/dev/null || true
+    "$EXP" $FLAGS -jobs 4 -resume "$RESUME_DIR" 2>/dev/null >"${TMPDIR:-/tmp}/stmdiag-check-res.txt"
+    if ! cmp -s "$REF" "${TMPDIR:-/tmp}/stmdiag-check-res.txt"; then
+        echo "table $gt stdout differs after kill -9 and -resume" >&2
+        exit 1
+    fi
+    # A second resume replays the now-complete store and must match again.
+    "$EXP" $FLAGS -jobs 1 -resume "$RESUME_DIR" 2>/dev/null >"${TMPDIR:-/tmp}/stmdiag-check-res2.txt"
+    if ! cmp -s "$REF" "${TMPDIR:-/tmp}/stmdiag-check-res2.txt"; then
+        echo "table $gt stdout differs on warm -resume replay" >&2
+        exit 1
+    fi
+done
 rm -rf "$RESUME_DIR"
 # Malformed execution flags are usage errors (exit 2) before any work runs.
 for badflags in "-executor bogus" "-resume /dev/null" "-worker-bin /bin/true"; do
