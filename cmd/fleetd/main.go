@@ -158,7 +158,7 @@ func serve(addr, addrFile, storeDir string, ff *cliobs.FleetFlags, tf *cliobs.Fl
 	base := obshttp.New(sink)
 	svc := fleet.NewService(store, base.Handler(), sink)
 
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := obshttp.NewHTTPServer(svc.Handler())
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("fleetd: listen %s: %w", addr, err)

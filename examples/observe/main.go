@@ -101,7 +101,7 @@ func main() {
 		if !a.Fail.FailedRun(res) {
 			continue
 		}
-		prof, ok := core.FailureRunProfile(res)
+		prof, ok := core.RunProfile(res, true)
 		if !ok {
 			continue
 		}
@@ -137,11 +137,9 @@ func main() {
 		if a.Succeed.FailedRun(res) {
 			continue
 		}
-		prof, ok := core.SuccessRunProfile(res)
+		prof, ok := core.RunProfile(res, false)
 		if !ok {
-			if prof, ok = core.FailureRunProfile(res); !ok {
-				continue
-			}
+			continue
 		}
 		succProfiles = append(succProfiles, core.ProfiledRun{Prog: reactive.Prog, Profile: prof})
 	}

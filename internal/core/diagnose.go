@@ -61,6 +61,19 @@ func SuccessRunProfile(res *vm.Result) (vm.Profile, bool) {
 	return profs[len(profs)-1], true
 }
 
+// RunProfile selects a run's diagnosis profile: a failed run's
+// failure-run profile, or a successful run's success-run profile, falling
+// back to the same-site failure snapshot for unconditional sites, which
+// have no paired success site.
+func RunProfile(res *vm.Result, failing bool) (vm.Profile, bool) {
+	if !failing {
+		if prof, ok := SuccessRunProfile(res); ok {
+			return prof, true
+		}
+	}
+	return FailureRunProfile(res)
+}
+
 // Report is a completed diagnosis.
 type Report struct {
 	// Mode is the record type diagnosed.

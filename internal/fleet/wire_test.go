@@ -123,3 +123,50 @@ func TestDedupEvents(t *testing.T) {
 		t.Error("DedupEvents(nil) != nil")
 	}
 }
+
+// FuzzDecodeBatch hardens the ingest decoder against arbitrary bodies,
+// plain or gzip'd: it must never panic, and any batch it accepts must pass
+// the version, app and mode checks and survive a re-encode round trip.
+// The committed corpus (testdata/fuzz/FuzzDecodeBatch) holds a valid
+// batch, a truncated gzip stream, an unknown field and a wrong version.
+func FuzzDecodeBatch(f *testing.F) {
+	plain, err := EncodeBatch(sampleBatch())
+	if err != nil {
+		f.Fatal(err)
+	}
+	gz, err := EncodeBatchGzip(sampleBatch())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(plain, false)
+	f.Add(gz, true)
+	f.Add([]byte(`{"v":2,"subs":[{"app":"","mode":0}]}`), false)
+	f.Add([]byte(`{"v":2,"subs":[{"app":"sort","mode":7}]}`), false)
+	f.Fuzz(func(t *testing.T, body []byte, gzipped bool) {
+		b, err := DecodeBatch(bytes.NewReader(body), gzipped)
+		if err != nil {
+			if b != nil {
+				t.Fatalf("rejected batch returned alongside error %v", err)
+			}
+			return
+		}
+		if b.Version != WireVersion {
+			t.Fatalf("accepted wire version %d", b.Version)
+		}
+		for i, s := range b.Subs {
+			if s.App == "" {
+				t.Fatalf("accepted submission %d without an app", i)
+			}
+			if s.Mode != core.ModeLBR && s.Mode != core.ModeLCR {
+				t.Fatalf("accepted submission %d with mode %d", i, s.Mode)
+			}
+		}
+		data, err := EncodeBatch(b)
+		if err != nil {
+			t.Fatalf("accepted batch does not re-encode: %v", err)
+		}
+		if _, err := DecodeBatch(bytes.NewReader(data), false); err != nil {
+			t.Fatalf("re-encoded batch rejected: %v\n%s", err, data)
+		}
+	})
+}

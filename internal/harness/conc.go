@@ -1,15 +1,12 @@
 package harness
 
 import (
-	"fmt"
 	"sort"
 
 	"stmdiag/internal/apps"
 	"stmdiag/internal/core"
-	"stmdiag/internal/kernel"
 	"stmdiag/internal/obs"
 	"stmdiag/internal/pmu"
-	"stmdiag/internal/vm"
 )
 
 // ConcResult is one concurrency benchmark's Table 7 row.
@@ -40,50 +37,23 @@ func fpeMatch(want *apps.FPEWant) func(core.Event) bool {
 	}
 }
 
-// coherenceRank returns the 1-based depth of the first event matching want
-// in the profile, or 0.
-func coherenceRank(p *core.Instrumented, prof vm.Profile, want *apps.FPEWant) int {
+// coherenceRanks returns, per run, the 1-based depth of the first event
+// matching want in the run's profile, or 0.
+func coherenceRanks(runs []core.ProfiledRun, want *apps.FPEWant) []int {
+	ranks := make([]int, len(runs))
 	if want == nil {
-		return 0
+		return ranks
 	}
 	match := fpeMatch(want)
-	for i, e := range core.CoherenceEvents(p.Prog, prof) {
-		if match(e) {
-			return i + 1
+	for r, run := range runs {
+		for i, e := range core.CoherenceEvents(run.Prog, run.Profile) {
+			if match(e) {
+				ranks[r] = i + 1
+				break
+			}
 		}
 	}
-	return 0
-}
-
-// runConc executes one LCR-instrumented run in one trial attempt's context.
-func runConc(a *apps.App, inst *core.Instrumented, w apps.Workload, seed int64, conf pmu.LCRConfig, cfg Config, tc *Trial) (*vm.Result, error) {
-	opts := w.VMOptions(seed)
-	opts.Driver = kernel.Driver{}
-	opts.SegvIoctls = inst.SegvIoctls
-	opts.LCRConfig = conf
-	opts.LCRSize = cfg.LCRSize
-	opts.Obs = tc.Sink
-	opts.Faults = tc.Faults
-	return vm.Run(inst.Prog, opts)
-}
-
-// collectConc gathers n failing (or succeeding) profiles under a config,
-// fanning the runs out through the trial pool as portable "conc-profile"
-// trials. label names the seed stream (scoped by the app name) so every
-// call site draws decorrelated seeds.
-func collectConc(a *apps.App, build core.Options, conf pmu.LCRConfig, wantFail bool, n int, cfg Config, pool *Pool, label string) ([]vm.Profile, int, error) {
-	stream := a.Name + "/" + label
-	out, attempts, err := CollectKind[vm.Profile](pool, cfg.MaxAttempts, n, stream, "conc-profile",
-		concProfileParams{App: a.Name, Build: build, Conf: conf, WantFail: wantFail,
-			Seed: cfg.Seed, LCRSize: cfg.LCRSize})
-	if err != nil {
-		return nil, attempts, err
-	}
-	if len(out) < n {
-		return nil, attempts, fmt.Errorf("harness: %s: only %d/%d %v-profiles in %d attempts",
-			a.Name, len(out), n, wantFail, attempts)
-	}
-	return out, attempts, nil
+	return ranks
 }
 
 // modalRank returns the most common non-negative value; ties break low.
@@ -113,83 +83,41 @@ func RunConcurrent(a *apps.App, cfg Config) (*ConcResult, error) {
 	res := &ConcResult{App: a}
 	rowStart := beginRow(cfg, a.Name, "concurrent")
 
-	optsLCR := core.Options{LCR: true, Toggling: true}
-	inst, err := cachedBuild(a, optsLCR)
-	if err != nil {
-		return nil, err
-	}
-
 	// LCRLOG ranks: modal FPE depth across a handful of failing runs.
 	endCapture := beginPhase(cfg, a.Name, phaseCapture)
 	want1 := a.FPEConf1
 	if want1 == nil {
 		want1 = a.FPE
 	}
-	if a.FPE != nil || want1 != nil {
+	if want1 != nil {
 		// For read-too-early order violations the Conf1 signal is the
 		// shared load that success runs record and failure runs miss;
 		// measure its position where it exists (paper §4.2.2).
-		profs1, _, err := collectConc(a, optsLCR, pmu.ConfSpaceSaving, !a.Conf1InSuccess, 5, cfg, pool, "conf1")
+		runs1, _, err := collectProfiles(a, profileParams{Build: lcrBuild, Conf: pmu.ConfSpaceSaving,
+			WantFail: !a.Conf1InSuccess, Strict: true}, 5, "conf1", false, cfg, pool)
 		if err != nil {
 			return nil, err
 		}
-		var ranks []int
-		for _, pr := range profs1 {
-			ranks = append(ranks, coherenceRank(inst, pr, want1))
-		}
-		res.RankConf1 = modalRank(ranks)
+		res.RankConf1 = modalRank(coherenceRanks(runs1, want1))
 	}
-	profs2, attempts, err := collectConc(a, optsLCR, pmu.ConfSpaceConsuming, true, cfg.FailRuns, cfg, pool, "conf2-fail")
+	// LCRA (Conf2): failing runs on the deployed build, successes on the
+	// reactive build paired with the failure site.
+	c, err := capture(a, tableCapture(core.ModeLCR), cfg, pool)
 	if err != nil {
 		return nil, err
 	}
-	res.FailRate = float64(cfg.FailRuns) / float64(attempts)
-	if a.FPE != nil {
-		var ranks []int
-		for _, pr := range profs2 {
-			ranks = append(ranks, coherenceRank(inst, pr, a.FPE))
-		}
-		res.RankConf2 = modalRank(ranks)
-	}
-
-	// LCRA (Conf2): reactive success sites paired with the failure site.
-	failPC, err := origFailurePC(a, inst, profs2[0])
-	if err != nil {
-		return nil, err
-	}
-	optsReactive := core.Options{LCR: true, Toggling: true,
-		Scheme: core.SchemeReactive, FailurePCs: []int{failPC}}
-	reactive, err := cachedBuild(a, optsReactive)
-	if err != nil {
-		return nil, err
-	}
-	succProfs, _, err := collectConc(a, optsReactive, pmu.ConfSpaceConsuming, false, cfg.SuccRuns, cfg, pool, "conf2-succ")
-	if err != nil {
-		return nil, err
-	}
+	res.FailRate = float64(cfg.FailRuns) / float64(c.attempts)
+	res.RankConf2 = modalRank(coherenceRanks(c.fail, a.FPE))
 	endCapture()
 	endRank := beginPhase(cfg, a.Name, phaseRank)
-	var fail, succ []core.ProfiledRun
-	for _, pr := range profs2 {
-		fail = append(fail, core.ProfiledRun{Prog: inst.Prog, Profile: pr})
-	}
-	for _, pr := range succProfs {
-		succ = append(succ, core.ProfiledRun{Prog: reactive.Prog, Profile: pr})
-	}
-	report, err := core.DiagnoseWith(core.ModeLCR, cfg.Ranker, fail, succ)
+	report, err := core.DiagnoseWith(core.ModeLCR, cfg.Ranker, c.fail, c.succ)
 	if err != nil {
 		return nil, err
 	}
-	if a.FPE != nil {
-		res.LCRARank = report.RankOfCoherence(fpeMatch(a.FPE))
-		// Only a high-confidence predictor counts, mirroring the paper's
-		// "best failure predictor" requirement.
-		if res.LCRARank > 0 {
-			s := report.Ranking[res.LCRARank-1]
-			if s.Score < 0.75 {
-				res.LCRARank = 0
-			}
-		}
+	// Only a high-confidence predictor counts, mirroring the paper's
+	// "best failure predictor" requirement.
+	if r := rootCauseRank(a, report); r > 0 && report.Ranking[r-1].Score >= 0.75 {
+		res.LCRARank = r
 	}
 	endRank()
 	res.Metrics = endRow(cfg, rowStart)

@@ -89,22 +89,27 @@ func corpusProgram(class synth.BugClass, dist, idx int, cfg Config, tc *Trial) (
 		return vm.Run(b.Prog, vopts)
 	}
 
-	var fail []core.ProfiledRun
-	for att := 0; att < cfg.MaxAttempts && len(fail) < cfg.FailRuns; att++ {
-		seed := TrialSeed(cfg.Seed, stream+"/fail", att)
-		res, err := run(inst, bp.Fail[att%len(bp.Fail)], seed)
-		if err != nil {
-			return miss, err
+	// collect gathers n profiled runs of the label's workload variants on
+	// build b, the seed stream scoped by the label.
+	collect := func(b *core.Instrumented, variants []map[string]int64, label string, failing bool, n int) ([]core.ProfiledRun, error) {
+		var out []core.ProfiledRun
+		for att := 0; att < cfg.MaxAttempts && len(out) < n; att++ {
+			res, err := run(b, variants[att%len(variants)], TrialSeed(cfg.Seed, stream+"/"+label, att))
+			if err != nil {
+				return nil, err
+			}
+			if res.Failed() != failing {
+				continue
+			}
+			if p, ok := core.RunProfile(res, failing); ok {
+				out = append(out, core.ProfiledRun{Prog: b.Prog, Profile: p})
+			}
 		}
-		if !res.Failed() {
-			continue
-		}
-		if p, ok := core.FailureRunProfile(res); ok {
-			fail = append(fail, core.ProfiledRun{Prog: inst.Prog, Profile: p})
-		}
+		return out, nil
 	}
-	if len(fail) < cfg.FailRuns {
-		return miss, nil
+	fail, err := collect(inst, bp.Fail, "fail", true, cfg.FailRuns)
+	if err != nil || len(fail) < cfg.FailRuns {
+		return miss, err
 	}
 
 	// Reactive redeployment: pair the failure site with a success site so
@@ -116,26 +121,9 @@ func corpusProgram(class synth.BugClass, dist, idx int, cfg Config, tc *Trial) (
 	if err != nil {
 		return miss, err
 	}
-	var succ []core.ProfiledRun
-	for att := 0; att < cfg.MaxAttempts && len(succ) < cfg.SuccRuns; att++ {
-		seed := TrialSeed(cfg.Seed, stream+"/succ", att)
-		res, err := run(react, bp.Succeed[att%len(bp.Succeed)], seed)
-		if err != nil {
-			return miss, err
-		}
-		if res.Failed() {
-			continue
-		}
-		p, ok := core.SuccessRunProfile(res)
-		if !ok {
-			p, ok = core.FailureRunProfile(res)
-		}
-		if ok {
-			succ = append(succ, core.ProfiledRun{Prog: react.Prog, Profile: p})
-		}
-	}
-	if len(succ) < cfg.SuccRuns {
-		return miss, nil
+	succ, err := collect(react, bp.Succeed, "succ", false, cfg.SuccRuns)
+	if err != nil || len(succ) < cfg.SuccRuns {
+		return miss, err
 	}
 
 	out := corpusOutcome{Diagnosed: true, Ranks: make([]int, len(core.Rankers()))}

@@ -8,9 +8,9 @@ import (
 	"stmdiag/internal/core"
 )
 
-// TestDiagnosisProfilesMatchMonolithicCapture pins the fleet capture path
-// to the monolithic one: same seed streams, same builds, so the same
-// diagnosis — and invariant under the worker count.
+// TestDiagnosisProfilesMatchMonolithicCapture pins the fleet capture's
+// profiles and diagnosis under the worker count; the comparison with the
+// table rows is TestDiagnosisProfilesRankMatchesTables.
 func TestDiagnosisProfilesMatchMonolithicCapture(t *testing.T) {
 	a := apps.ByName("sort")
 	cfg := Config{FailRuns: 3, SuccRuns: 3, Seed: 5, Jobs: 1}
@@ -69,5 +69,57 @@ func TestDiagnosisProfilesConcurrentMode(t *testing.T) {
 	}
 	if len(fail) != 2 || len(succ) != 2 {
 		t.Errorf("profiles: %d fail, %d succ", len(fail), len(succ))
+	}
+}
+
+// TestDiagnosisProfilesRankMatchesTables: the fleet client diagnoses what
+// the tables diagnose. Ranking DiagnosisProfiles' capture puts the root
+// cause exactly where RunSequential's LBRA column and RunConcurrent's LCRA
+// column put it, at every worker count. LCRA's column zeroes a rank whose
+// score is under 0.75, so the test requires a ranked root cause: equal
+// nonzero ranks mean equal ranks before that threshold too. The record
+// columns read from the failure profiles (Table 6's LBRLOG rank with
+// toggling, Table 7's Conf2 depth) must match as well; they move with the
+// deployed build and LCR configuration, which a top-ranked root cause
+// alone may not.
+func TestDiagnosisProfilesRankMatchesTables(t *testing.T) {
+	for _, name := range []string{"sort", "Mozilla-JS3"} {
+		a := apps.ByName(name)
+		for _, jobs := range []int{1, 4} {
+			cfg := Config{FailRuns: 4, SuccRuns: 4, CBIRuns: 20, OverheadRuns: 1, Seed: 3, Jobs: jobs}
+			mode, fail, succ, err := DiagnosisProfiles(a, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := core.DiagnoseWith(mode, cfg.Ranker, fail, succ)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got, want, gotRec, wantRec int
+			if a.Class.Concurrent() {
+				got = rep.RankOfCoherence(fpeMatch(a.FPE))
+				gotRec = modalRank(coherenceRanks(fail, a.FPE))
+				row, err := RunConcurrent(a, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, wantRec = row.LCRARank, row.RankConf2
+			} else {
+				got = rep.RankOfBranchEdge(a.RootBranch, a.BuggyEdge)
+				gotRec, _ = rankWithFallback(a, fail[0])
+				row, err := RunSequential(a, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, wantRec = row.LBRARank, row.RankTog
+			}
+			if got == 0 || got != want {
+				t.Errorf("%s jobs=%d: fleet capture ranks the root cause %d, table row %d", name, jobs, got, want)
+			}
+			if gotRec == 0 || gotRec != wantRec {
+				t.Errorf("%s jobs=%d: fleet capture records the root cause at depth %d, table row %d",
+					name, jobs, gotRec, wantRec)
+			}
+		}
 	}
 }

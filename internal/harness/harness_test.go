@@ -7,6 +7,7 @@ import (
 	"stmdiag/internal/core"
 	"stmdiag/internal/isa"
 	"stmdiag/internal/source"
+	"stmdiag/internal/vm"
 )
 
 func TestModalRank(t *testing.T) {
@@ -95,16 +96,26 @@ func logSitesOf(p *isa.Program) []int {
 	return sites
 }
 
+// failureProfile captures one failure-run profile of a on its plain LBR
+// build through the "profile" kind.
+func failureProfile(t *testing.T, a *apps.App) (*core.Instrumented, vm.Profile) {
+	t.Helper()
+	build := core.Options{LBR: true}
+	inst, err := cachedBuild(a, build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, _, err := collectProfiles(a, profileParams{Build: build, WantFail: true},
+		1, "origpc", false, Config{MaxAttempts: 400}, NewPool(1, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst, runs[0].Profile
+}
+
 func TestOrigFailurePCForCrashApp(t *testing.T) {
 	a := apps.ByName("sort")
-	inst, err := core.EnhanceLogging(a.Program(), core.Options{LBR: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof, err := failureProfileOf(a, inst, 0, Config{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inst, prof := failureProfile(t, a)
 	pc, err := origFailurePC(a, inst, prof)
 	if err != nil {
 		t.Fatal(err)
@@ -116,14 +127,7 @@ func TestOrigFailurePCForCrashApp(t *testing.T) {
 
 func TestOrigFailurePCForLogApp(t *testing.T) {
 	a := apps.ByName("cp")
-	inst, err := core.EnhanceLogging(a.Program(), core.Options{LBR: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof, err := failureProfileOf(a, inst, 0, Config{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inst, prof := failureProfile(t, a)
 	pc, err := origFailurePC(a, inst, prof)
 	if err != nil {
 		t.Fatal(err)

@@ -22,13 +22,17 @@ import (
 // function of (params, stream, trial index, attempt): its VM options, seed
 // derivation and accept/reject/error decisions may depend on nothing else,
 // or the cross-executor golden-table identity breaks.
+//
+// The kinds: "profile" (every LBR/LCR profile any table or the fleet client
+// captures, driven by capture.go), "cbi-run" (one sampled CBI run),
+// "mean-cycles" (one overhead measurement), "corpus-program" (Table 9's
+// diagnosis of one generated program), "coverage" (one THeME-style
+// coverage measurement) and "report-bundle" (one failure-report seed).
 
 func init() {
-	registerKind("fail-profile", failProfileKind)
-	registerKind("succ-profile", succProfileKind)
+	registerKind("profile", profileKind)
 	registerKind("cbi-run", cbiRunKind)
 	registerKind("mean-cycles", meanCyclesKind)
-	registerKind("conc-profile", concProfileKind)
 	registerKind("corpus-program", corpusProgramKind)
 	registerKind("coverage", coverageKind)
 	registerKind("report-bundle", reportBundleKind)
@@ -80,19 +84,29 @@ func cachedBuild(a *apps.App, opts core.Options) (*core.Instrumented, error) {
 	return v.(*core.Instrumented), nil
 }
 
-// failProfileParams parameterizes one failure-run capture trial.
-type failProfileParams struct {
-	App     string       `json:"app"`
-	Build   core.Options `json:"build"`
-	Seed    int64        `json:"seed"`
-	LBRSize int          `json:"lbrSize,omitempty"`
+// profileParams parameterizes one LBR/LCR profile capture trial: a run of
+// App's failure (WantFail) or success workload on an instrumented Build.
+type profileParams struct {
+	App   string        `json:"app"`
+	Build core.Options  `json:"build"`
+	Conf  pmu.LCRConfig `json:"conf"`
+	// WantFail selects the failure workload and the failure-run profile;
+	// otherwise the success workload and the success-run profile.
+	WantFail bool `json:"wantFail"`
+	// Strict makes a run error abort the collection; otherwise the error
+	// is lost evidence and rejects the trial (injected faults, Table 8).
+	Strict  bool  `json:"strict,omitempty"`
+	Seed    int64 `json:"seed"`
+	LBRSize int   `json:"lbrSize,omitempty"`
+	LCRSize int   `json:"lcrSize,omitempty"`
 }
 
-// failProfileKind runs the failure workload on an instrumented build and
-// extracts the failure-run profile. A run that did not fail (or errored)
-// is rejected, not fatal — concurrency benchmarks fail probabilistically.
-func failProfileKind(raw json.RawMessage, stream string, tc *Trial) (any, bool, error) {
-	var P failProfileParams
+// profileKind runs one instrumented production run and extracts its
+// diagnosis profile (core.RunProfile). A run with the wrong outcome or no
+// profile is rejected, not fatal — concurrency benchmarks fail
+// probabilistically.
+func profileKind(raw json.RawMessage, stream string, tc *Trial) (any, bool, error) {
+	var P profileParams
 	if err := json.Unmarshal(raw, &P); err != nil {
 		return nil, false, err
 	}
@@ -104,59 +118,25 @@ func failProfileKind(raw json.RawMessage, stream string, tc *Trial) (any, bool, 
 	if err != nil {
 		return nil, false, err
 	}
-	prof, err := failureProfileOf(a, inst, TrialSeed(P.Seed, stream, tc.Index), Config{LBRSize: P.LBRSize}, tc)
-	if err != nil {
-		return vm.Profile{}, false, nil
+	w := a.Fail
+	if !P.WantFail {
+		w = a.Succeed
 	}
-	return prof, true, nil
-}
-
-// succProfileParams parameterizes one success-run capture trial.
-type succProfileParams struct {
-	App     string       `json:"app"`
-	Build   core.Options `json:"build"`
-	Seed    int64        `json:"seed"`
-	LBRSize int          `json:"lbrSize,omitempty"`
-	// Strict makes a run error abort the collection (the Table 6 success
-	// path); tolerant mode rejects instead (the Table 8 robustness path).
-	Strict bool `json:"strict,omitempty"`
-}
-
-// succProfileKind runs the success workload and extracts the comparable
-// success profile, falling back to the same-site failure snapshot for
-// unconditional sites.
-func succProfileKind(raw json.RawMessage, stream string, tc *Trial) (any, bool, error) {
-	var P succProfileParams
-	if err := json.Unmarshal(raw, &P); err != nil {
+	opts := w.VMOptions(TrialSeed(P.Seed, stream, tc.Index))
+	opts.Driver = kernel.Driver{}
+	opts.SegvIoctls = inst.SegvIoctls
+	opts.LCRConfig = P.Conf
+	opts.LBRSize, opts.LCRSize = P.LBRSize, P.LCRSize
+	opts.Obs, opts.Faults = tc.Sink, tc.Faults
+	res, err := vm.Run(inst.Prog, opts)
+	if err != nil && P.Strict {
 		return nil, false, err
 	}
-	a, err := kindApp(P.App)
-	if err != nil {
-		return nil, false, err
+	if err != nil || w.FailedRun(res) != P.WantFail {
+		return nil, false, nil
 	}
-	inst, err := cachedBuild(a, P.Build)
-	if err != nil {
-		return nil, false, err
-	}
-	res, err := runApp(inst, a.Succeed, TrialSeed(P.Seed, stream, tc.Index), Config{LBRSize: P.LBRSize}, tc)
-	if err != nil {
-		if P.Strict {
-			return vm.Profile{}, false, err
-		}
-		return vm.Profile{}, false, nil
-	}
-	if a.Succeed.FailedRun(res) {
-		return vm.Profile{}, false, nil
-	}
-	prof, ok := core.SuccessRunProfile(res)
-	if !ok {
-		// Unconditional site: the same-site snapshot from a successful run
-		// is the comparable success profile.
-		if prof, ok = core.FailureRunProfile(res); !ok {
-			return vm.Profile{}, false, nil
-		}
-	}
-	return prof, true, nil
+	prof, ok := core.RunProfile(res, P.WantFail)
+	return prof, ok, nil
 }
 
 // cbiRunParams parameterizes one sampled CBI run.
@@ -269,56 +249,6 @@ func meanCyclesKind(raw json.RawMessage, stream string, tc *Trial) (any, bool, e
 		return uint64(0), false, err
 	}
 	return res.Cycles, true, nil
-}
-
-// concProfileParams parameterizes one LCR-instrumented concurrency trial.
-type concProfileParams struct {
-	App      string        `json:"app"`
-	Build    core.Options  `json:"build"`
-	Conf     pmu.LCRConfig `json:"conf"`
-	WantFail bool          `json:"wantFail"`
-	Seed     int64         `json:"seed"`
-	LCRSize  int           `json:"lcrSize,omitempty"`
-}
-
-// concProfileKind runs one interleaving trial under an LCR configuration
-// and extracts the requested profile. A run with the wrong outcome is
-// rejected; a VM error is fatal.
-func concProfileKind(raw json.RawMessage, stream string, tc *Trial) (any, bool, error) {
-	var P concProfileParams
-	if err := json.Unmarshal(raw, &P); err != nil {
-		return nil, false, err
-	}
-	a, err := kindApp(P.App)
-	if err != nil {
-		return nil, false, err
-	}
-	inst, err := cachedBuild(a, P.Build)
-	if err != nil {
-		return nil, false, err
-	}
-	w := a.Fail
-	if !P.WantFail {
-		w = a.Succeed
-	}
-	res, err := runConc(a, inst, w, TrialSeed(P.Seed, stream, tc.Index), P.Conf, Config{LCRSize: P.LCRSize}, tc)
-	if err != nil {
-		return vm.Profile{}, false, err
-	}
-	if w.FailedRun(res) != P.WantFail {
-		return vm.Profile{}, false, nil
-	}
-	var prof vm.Profile
-	var ok bool
-	if P.WantFail {
-		prof, ok = core.FailureRunProfile(res)
-	} else {
-		if prof, ok = core.SuccessRunProfile(res); !ok {
-			// Unconditional site: use the same-site snapshot.
-			prof, ok = core.FailureRunProfile(res)
-		}
-	}
-	return prof, ok, nil
 }
 
 // corpusParams parameterizes Table 9's corpus fan-out. Trial i is program

@@ -16,7 +16,6 @@ import (
 	"stmdiag/internal/core"
 	"stmdiag/internal/faultinj"
 	"stmdiag/internal/isa"
-	"stmdiag/internal/kernel"
 	"stmdiag/internal/obs"
 	"stmdiag/internal/vm"
 )
@@ -137,21 +136,6 @@ type SeqResult struct {
 	Metrics *obs.Snapshot
 }
 
-// runApp executes one instrumented run in the context of one trial
-// attempt, wiring the trial's telemetry sink and fault plan into the VM.
-// A nil trial runs outside the pool: no telemetry, no fault plan.
-func runApp(inst *core.Instrumented, w apps.Workload, seed int64, cfg Config, tc *Trial) (*vm.Result, error) {
-	opts := w.VMOptions(seed)
-	opts.Driver = kernel.Driver{}
-	opts.SegvIoctls = inst.SegvIoctls
-	opts.LBRSize = cfg.LBRSize
-	if tc != nil {
-		opts.Obs = tc.Sink
-		opts.Faults = tc.Faults
-	}
-	return vm.Run(inst.Prog, opts)
-}
-
 // branchRank returns the 1-based position of the first LBR record naming
 // the branch, newest-first; 0 if absent.
 func branchRank(p *isa.Program, prof vm.Profile, branch string) int {
@@ -168,80 +152,16 @@ func branchRank(p *isa.Program, prof vm.Profile, branch string) int {
 	return 0
 }
 
-// rankWithFallback resolves the root-cause rank, falling back to the
-// related branch (the * cases of Table 6).
-func rankWithFallback(a *apps.App, p *isa.Program, prof vm.Profile) (rank int, related bool) {
-	if r := branchRank(p, prof, a.RootBranch); r > 0 {
+// rankWithFallback resolves the root-cause rank in one run's profile,
+// falling back to the related branch (the * cases of Table 6).
+func rankWithFallback(a *apps.App, run core.ProfiledRun) (rank int, related bool) {
+	if r := branchRank(run.Prog, run.Profile, a.RootBranch); r > 0 {
 		return r, false
 	}
-	if r := branchRank(p, prof, a.RelatedBranch); r > 0 {
+	if r := branchRank(run.Prog, run.Profile, a.RelatedBranch); r > 0 {
 		return r, true
 	}
 	return 0, false
-}
-
-// failureProfileOf runs the failure workload once and extracts the
-// failure-run profile.
-func failureProfileOf(a *apps.App, inst *core.Instrumented, seed int64, cfg Config, tc *Trial) (vm.Profile, error) {
-	res, err := runApp(inst, a.Fail, seed, cfg, tc)
-	if err != nil {
-		return vm.Profile{}, err
-	}
-	if !a.Fail.FailedRun(res) {
-		return vm.Profile{}, fmt.Errorf("harness: %s failure workload did not fail (seed %d)", a.Name, seed)
-	}
-	prof, ok := core.FailureRunProfile(res)
-	if !ok {
-		return vm.Profile{}, fmt.Errorf("harness: %s failure run produced no profile", a.Name)
-	}
-	return prof, nil
-}
-
-// origFailurePC maps a failure back to original-program coordinates for
-// the reactive scheme: the faulting instruction for crash benchmarks, or
-// the failing log-call site otherwise.
-func origFailurePC(a *apps.App, inst *core.Instrumented, prof vm.Profile) (int, error) {
-	if pc := a.FaultPC(); pc >= 0 {
-		return pc, nil
-	}
-	// The profile site is the ioctl inserted right before the log call;
-	// scan forward to the call, then invert the PC map.
-	p := inst.Prog
-	for pc := prof.Site; pc < len(p.Instrs) && pc < prof.Site+16; pc++ {
-		if p.Instrs[pc].Op == isa.OpCall {
-			for orig, now := range inst.PCMap {
-				if now == pc {
-					return orig, nil
-				}
-			}
-		}
-	}
-	return 0, fmt.Errorf("harness: cannot locate original failure site for %s (profile site %d)", a.Name, prof.Site)
-}
-
-// successProfiles collects success-run profiles on the given build through
-// the trial pool. The trials are portable ("succ-profile" kind, strict
-// mode: a run error aborts the collection), so they execute identically on
-// any executor and resume from the artifact store.
-func successProfiles(a *apps.App, build core.Options, cfg Config, pool *Pool) ([]core.ProfiledRun, error) {
-	inst, err := cachedBuild(a, build)
-	if err != nil {
-		return nil, err
-	}
-	stream := a.Name + "/succ"
-	profs, _, err := CollectKind[vm.Profile](pool, cfg.MaxAttempts, cfg.SuccRuns, stream, "succ-profile",
-		succProfileParams{App: a.Name, Build: build, Seed: cfg.Seed, LBRSize: cfg.LBRSize, Strict: true})
-	if err != nil {
-		return nil, err
-	}
-	if len(profs) < cfg.SuccRuns {
-		return nil, fmt.Errorf("harness: %s: only %d/%d success profiles", a.Name, len(profs), cfg.SuccRuns)
-	}
-	out := make([]core.ProfiledRun, len(profs))
-	for i, prof := range profs {
-		out[i] = core.ProfiledRun{Prog: inst.Prog, Profile: prof}
-	}
-	return out, nil
 }
 
 // RunSequential reproduces one Table 6 row.
@@ -251,79 +171,40 @@ func RunSequential(a *apps.App, cfg Config) (*SeqResult, error) {
 	res := &SeqResult{App: a}
 	rowStart := beginRow(cfg, a.Name, "sequential")
 
-	optsLogTog := core.Options{LBR: true, Toggling: true}
-	optsLogNoTog := core.Options{LBR: true}
-	logTog, err := cachedBuild(a, optsLogTog)
-	if err != nil {
-		return nil, err
-	}
-	logNoTog, err := cachedBuild(a, optsLogNoTog)
-	if err != nil {
-		return nil, err
-	}
-
-	// LBRA failure profiles from the deployed (toggling) build; the first
-	// doubles as Table 6's LBRLOG toggling profile. The trials are portable
-	// ("fail-profile" kind): a run that happened not to fail is rejected,
-	// not fatal — concurrency benchmarks fail probabilistically.
+	// LBRA capture on the deployed (toggling) build; the first failure
+	// profile doubles as Table 6's LBRLOG toggling profile.
 	endCapture := beginPhase(cfg, a.Name, phaseCapture)
-	failStream := a.Name + "/fail"
-	failProfs, _, err := CollectKind[vm.Profile](pool, cfg.MaxAttempts, cfg.FailRuns, failStream, "fail-profile",
-		failProfileParams{App: a.Name, Build: optsLogTog, Seed: cfg.Seed, LBRSize: cfg.LBRSize})
+	c, err := capture(a, tableCapture(core.ModeLBR), cfg, pool)
 	if err != nil {
 		return nil, err
 	}
-	if len(failProfs) < cfg.FailRuns {
-		return nil, fmt.Errorf("harness: %s: only %d/%d failure profiles", a.Name, len(failProfs), cfg.FailRuns)
-	}
-	failProfiles := make([]core.ProfiledRun, len(failProfs))
-	for i, prof := range failProfs {
-		failProfiles[i] = core.ProfiledRun{Prog: logTog.Prog, Profile: prof}
-	}
-	profTog := failProfiles[0].Profile
-	res.RankTog, res.RelatedTog = rankWithFallback(a, logTog.Prog, profTog)
-
-	noTogStream := a.Name + "/fail-notog"
-	profNoTog, noTogIdx, err := FirstKind[vm.Profile](pool, cfg.MaxAttempts, noTogStream, "fail-profile",
-		failProfileParams{App: a.Name, Build: optsLogNoTog, Seed: cfg.Seed, LBRSize: cfg.LBRSize})
-	if err != nil {
-		return nil, err
-	}
-	if noTogIdx < 0 {
-		return nil, fmt.Errorf("harness: %s: no non-toggling failure profile", a.Name)
-	}
-	res.RankNoTog, res.RelatedNoTog = rankWithFallback(a, logNoTog.Prog, profNoTog)
-
+	tog := c.fail[0]
+	res.RankTog, res.RelatedTog = rankWithFallback(a, tog)
 	siteLoc := isa.SourceLoc{}
-	if profTog.Site >= 0 && profTog.Site < len(logTog.Prog.Instrs) {
-		siteLoc = logTog.Prog.Instrs[profTog.Site].Loc
+	if site := tog.Profile.Site; site >= 0 && site < len(tog.Prog.Instrs) {
+		siteLoc = tog.Prog.Instrs[site].Loc
 	}
 	res.DistFailureSite = a.Patch.Distance(siteLoc)
-	res.DistLBR = a.Patch.MinDistance(core.BranchLocs(logTog.Prog, profTog))
+	res.DistLBR = a.Patch.MinDistance(core.BranchLocs(tog.Prog, tog.Profile))
 
-	failPC, err := origFailurePC(a, logTog, failProfiles[0].Profile)
+	optsLogNoTog := core.Options{LBR: true}
+	noTog, _, err := collectProfiles(a, profileParams{Build: optsLogNoTog, WantFail: true},
+		1, "fail-notog", false, cfg, pool)
 	if err != nil {
 		return nil, err
 	}
-	optsReactive := core.Options{LBR: true, Toggling: true,
-		Scheme: core.SchemeReactive, FailurePCs: []int{failPC}}
-	succProfiles, err := successProfiles(a, optsReactive, cfg, pool)
-	if err != nil {
-		return nil, err
-	}
+	res.RankNoTog, res.RelatedNoTog = rankWithFallback(a, noTog[0])
 	endCapture()
+
 	endRank := beginPhase(cfg, a.Name, phaseRank)
-	report, err := core.DiagnoseWith(core.ModeLBR, cfg.Ranker, failProfiles, succProfiles)
+	report, err := core.DiagnoseWith(core.ModeLBR, cfg.Ranker, c.fail, c.succ)
 	if err != nil {
 		return nil, err
 	}
 	if d := pool.FirstDegraded(); d != nil {
 		report.AttachFlight(d.Events)
 	}
-	res.LBRARank = report.RankOfBranchEdge(a.RootBranch, a.BuggyEdge)
-	if res.LBRARank == 0 && a.RelatedBranch != "" {
-		res.LBRARank = report.RankOfBranch(a.RelatedBranch)
-	}
+	res.LBRARank = rootCauseRank(a, report)
 	endRank()
 
 	// CBI baseline and the overhead columns re-execute the workloads: the
@@ -345,9 +226,9 @@ func RunSequential(a *apps.App, cfg Config) (*SeqResult, error) {
 		stream string
 		out    *float64
 	}{
-		{optsLogTog, a.Name + "/ov-log-tog", &res.OvLogTog},
+		{lbrBuild, a.Name + "/ov-log-tog", &res.OvLogTog},
 		{optsLogNoTog, a.Name + "/ov-log-notog", &res.OvLogNoTog},
-		{optsReactive, a.Name + "/ov-reactive", &res.OvReactive},
+		{c.reactive, a.Name + "/ov-reactive", &res.OvReactive},
 		{optsProactive, a.Name + "/ov-proactive", &res.OvProactive},
 	} {
 		build := v.build

@@ -17,7 +17,6 @@ import (
 	"stmdiag/internal/source"
 	"stmdiag/internal/stats"
 	"stmdiag/internal/synth"
-	"stmdiag/internal/vm"
 )
 
 // NumTables is the highest table RenderTable knows: the paper's Tables 1–7
@@ -167,31 +166,27 @@ func Table3(cfg Config) (string, error) {
 		{"PBZIP3", "invalid read"},      // read-too-late: often
 	}
 	for _, row := range rows {
-		a := apps.ByName(row.app)
-		if a == nil && row.app == "micro-RWW" {
-			a = apps.RWWMicro
+		a, err := kindApp(row.app)
+		if err != nil {
+			return "", err
 		}
 		want := a.FPE
 		observed := "none in failure thread"
 		inThread := "no"
 		if want != nil {
-			optsLCR := core.Options{LCR: true, Toggling: true}
-			inst, err := cachedBuild(a, optsLCR)
-			if err != nil {
-				return "", err
-			}
-			profs, _, err := collectConc(a, optsLCR, pmu.ConfSpaceConsuming, true, 3, cfg, pool, "table3")
+			runs, _, err := collectProfiles(a, profileParams{Build: lcrBuild, Conf: pmu.ConfSpaceConsuming,
+				WantFail: true, Strict: true}, 3, "table3", false, cfg, pool)
 			if err != nil {
 				return "", err
 			}
 			hits := 0
-			for _, pr := range profs {
-				if coherenceRank(inst, pr, want) > 0 {
+			for _, r := range coherenceRanks(runs, want) {
+				if r > 0 {
 					hits++
 				}
 			}
 			observed = fmt.Sprintf("%s %s at %s:%d (%d/%d runs)",
-				want.State, want.Kind, want.File, want.Line, hits, len(profs))
+				want.State, want.Kind, want.File, want.Line, hits, len(runs))
 			if hits > 0 {
 				inThread = "yes"
 			}
@@ -342,61 +337,20 @@ type robustRow struct {
 func table8Row(a *apps.App, cfg Config) (*robustRow, error) {
 	cfg = cfg.withDefaults()
 	pool := cfg.pool()
-	optsLogTog := core.Options{LBR: true, Toggling: true}
-	logTog, err := cachedBuild(a, optsLogTog)
-	if err != nil {
-		return nil, err
-	}
 	endCapture := beginPhase(cfg, a.Name, phaseCapture)
-	// Portable "fail-profile" trials: injected faults can swallow the crash
-	// profile or flip the run's outcome; such a trial is lost evidence
-	// (rejected by the kind), not an abort.
-	failStream := a.Name + "/robust-fail"
-	failProfs, _, err := CollectKind[vm.Profile](pool, cfg.MaxAttempts, cfg.FailRuns, failStream, "fail-profile",
-		failProfileParams{App: a.Name, Build: optsLogTog, Seed: cfg.Seed, LBRSize: cfg.LBRSize})
+	c, err := capture(a, robustCapture, cfg, pool)
 	if err != nil {
 		return nil, err
 	}
-	failProfiles := make([]core.ProfiledRun, len(failProfs))
-	for i, prof := range failProfs {
-		failProfiles[i] = core.ProfiledRun{Prog: logTog.Prog, Profile: prof}
-	}
-	row := &robustRow{app: a, failProfs: len(failProfiles)}
-	if len(failProfiles) == 0 {
-		endCapture()
+	endCapture()
+	row := &robustRow{app: a, failProfs: len(c.fail), succProfs: len(c.succ)}
+	if len(c.fail) == 0 {
 		row.verdict = stats.VerdictInsufficient
 		return row, nil
 	}
-	// Success profiles need the reactive build, which needs the failure
-	// site mapped back from the (possibly corrupted) first failure
-	// profile. An unlocatable site degrades to a fail-only diagnosis
-	// rather than failing the row.
-	var succProfiles []core.ProfiledRun
-	if failPC, err := origFailurePC(a, logTog, failProfiles[0].Profile); err == nil {
-		optsReactive := core.Options{LBR: true, Toggling: true,
-			Scheme: core.SchemeReactive, FailurePCs: []int{failPC}}
-		reactive, err := cachedBuild(a, optsReactive)
-		if err != nil {
-			return nil, err
-		}
-		// Tolerant "succ-profile" trials: a run error is lost evidence here,
-		// not an abort (Strict is false).
-		succStream := a.Name + "/robust-succ"
-		succProfs, _, err := CollectKind[vm.Profile](pool, cfg.MaxAttempts, cfg.SuccRuns, succStream, "succ-profile",
-			succProfileParams{App: a.Name, Build: optsReactive, Seed: cfg.Seed, LBRSize: cfg.LBRSize})
-		if err != nil {
-			return nil, err
-		}
-		succProfiles = make([]core.ProfiledRun, len(succProfs))
-		for i, prof := range succProfs {
-			succProfiles[i] = core.ProfiledRun{Prog: reactive.Prog, Profile: prof}
-		}
-	}
-	endCapture()
-	row.succProfs = len(succProfiles)
 	endRank := beginPhase(cfg, a.Name, phaseRank)
 	defer endRank()
-	report, err := core.Diagnose(core.ModeLBR, failProfiles, succProfiles)
+	report, err := core.Diagnose(core.ModeLBR, c.fail, c.succ)
 	if err != nil {
 		return nil, err
 	}
@@ -406,10 +360,7 @@ func table8Row(a *apps.App, cfg Config) (*robustRow, error) {
 		report.AttachFlight(d.Events)
 	}
 	row.verdict = report.Verdict
-	row.rank = report.RankOfBranchEdge(a.RootBranch, a.BuggyEdge)
-	if row.rank == 0 && a.RelatedBranch != "" {
-		row.rank = report.RankOfBranch(a.RelatedBranch)
-	}
+	row.rank = rootCauseRank(a, report)
 	if top, ok := report.Top(); ok && top.Event.Kind == core.EventBranch &&
 		(top.Event.Branch == a.RootBranch ||
 			(a.RelatedBranch != "" && top.Event.Branch == a.RelatedBranch)) {

@@ -31,7 +31,8 @@ import (
 // equivalence. Every stream the harness runs — the tables, the generated
 // bug corpus, coverage sweeps, adaptive search, the report seed search —
 // is a registered kind (kinds.go), so every one of them can run on any
-// executor and resume from the store.
+// executor and resume from the store. Every LBR/LCR profile, whichever
+// table or client captures it, is a trial of the one "profile" kind.
 
 // TrialRequest is one trial, as data. Its identity — what the artifact key
 // hashes — is (Stream, Index, Kind, Params, Faults, FaultSeed). The

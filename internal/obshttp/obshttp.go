@@ -32,6 +32,7 @@ import (
 	"net/http/pprof"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"stmdiag/internal/obs"
 	"stmdiag/internal/prof"
@@ -103,6 +104,23 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// Connection timeouts of every server NewHTTPServer builds. A client that
+// trickles its request headers, or parks an idle keep-alive connection,
+// would otherwise hold a goroutine and a file descriptor forever. There is
+// deliberately no write timeout: /debug/pprof/profile and /trace stream for
+// seconds.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns an http.Server for h with bounded header-read and
+// idle-connection time. Every listener in this repository serves through
+// one.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // Start listens on addr (host:port; port 0 picks a free one) and serves in
 // a background goroutine until Close.
 func (s *Server) Start(addr string) error {
@@ -111,7 +129,7 @@ func (s *Server) Start(addr string) error {
 		return fmt.Errorf("obshttp: listen %s: %w", addr, err)
 	}
 	s.ln = ln
-	s.http = &http.Server{Handler: s.Handler()}
+	s.http = NewHTTPServer(s.Handler())
 	go s.http.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
 	return nil
 }

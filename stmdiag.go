@@ -356,29 +356,35 @@ func DiagnoseRuns(failing, succeeding []*RunResult, coherence bool) (*Report, er
 // (core.RankerCBI, core.RankerOchiai or core.RankerTarantula — the -ranker
 // flag): identical event extraction and counting, different arithmetic.
 func DiagnoseRunsWith(failing, succeeding []*RunResult, coherence bool, ranker core.Ranker) (*Report, error) {
-	mode := core.ModeLBR
-	if coherence {
-		mode = core.ModeLCR
-	}
-	var fail, succ []core.ProfiledRun
-	for _, r := range failing {
-		if pr, ok := core.FailureRunProfile(r.raw); ok {
-			fail = append(fail, core.ProfiledRun{Prog: r.prog, Profile: pr})
-		}
-	}
-	for _, r := range succeeding {
-		pr, ok := core.SuccessRunProfile(r.raw)
-		if !ok {
-			pr, ok = core.FailureRunProfile(r.raw)
-		}
-		if ok {
-			succ = append(succ, core.ProfiledRun{Prog: r.prog, Profile: pr})
-		}
-	}
+	mode, fail, succ := diagnosisInputs(failing, succeeding, coherence)
 	rep, err := core.DiagnoseWith(mode, ranker, fail, succ)
 	if err != nil {
 		return nil, err
 	}
+	return publicReport(rep), nil
+}
+
+// diagnosisInputs selects each run's diagnosis profile (core.RunProfile),
+// skipping runs that recorded none, and the mode the flag selects.
+func diagnosisInputs(failing, succeeding []*RunResult, coherence bool) (core.Mode, []core.ProfiledRun, []core.ProfiledRun) {
+	mode := core.ModeLBR
+	if coherence {
+		mode = core.ModeLCR
+	}
+	profiled := func(runs []*RunResult, failed bool) []core.ProfiledRun {
+		var out []core.ProfiledRun
+		for _, r := range runs {
+			if pr, ok := core.RunProfile(r.raw, failed); ok {
+				out = append(out, core.ProfiledRun{Prog: r.prog, Profile: pr})
+			}
+		}
+		return out
+	}
+	return mode, profiled(failing, true), profiled(succeeding, false)
+}
+
+// publicReport converts a core ranking into the public Report.
+func publicReport(rep *core.Report) *Report {
 	out := &Report{}
 	for _, s := range rep.Ranking {
 		out.Ranking = append(out.Ranking, Predictor{
@@ -390,7 +396,7 @@ func DiagnoseRunsWith(failing, succeeding []*RunResult, coherence bool, ranker c
 			InSuccessRuns: s.InSucc,
 		})
 	}
-	return out, nil
+	return out
 }
 
 // SiteDiagnosis is one failure location's diagnosis in a multi-failure
@@ -411,47 +417,17 @@ type SiteDiagnosis struct {
 // different program locations never pollute each other's statistics.
 // Reports come back in descending failure-count order.
 func DiagnoseRunsBySite(failing, succeeding []*RunResult, coherence bool) ([]SiteDiagnosis, error) {
-	mode := core.ModeLBR
-	if coherence {
-		mode = core.ModeLCR
-	}
-	var fail, succ []core.ProfiledRun
-	for _, r := range failing {
-		if pr, ok := core.FailureRunProfile(r.raw); ok {
-			fail = append(fail, core.ProfiledRun{Prog: r.prog, Profile: pr})
-		}
-	}
-	for _, r := range succeeding {
-		pr, ok := core.SuccessRunProfile(r.raw)
-		if !ok {
-			pr, ok = core.FailureRunProfile(r.raw)
-		}
-		if ok {
-			succ = append(succ, core.ProfiledRun{Prog: r.prog, Profile: pr})
-		}
-	}
-	reports, err := core.DiagnoseBySite(mode, fail, succ)
+	reports, err := core.DiagnoseBySite(diagnosisInputs(failing, succeeding, coherence))
 	if err != nil {
 		return nil, err
 	}
 	var out []SiteDiagnosis
 	for _, sr := range reports {
-		pub := &Report{}
-		for _, sc := range sr.Report.Ranking {
-			pub.Ranking = append(pub.Ranking, Predictor{
-				Event:         sc.Event.String(),
-				Score:         sc.Score,
-				Precision:     sc.Precision,
-				Recall:        sc.Recall,
-				InFailureRuns: sc.InFail,
-				InSuccessRuns: sc.InSucc,
-			})
-		}
 		out = append(out, SiteDiagnosis{
 			File:     sr.Site.File,
 			Line:     sr.Site.Line,
 			Failures: sr.Failures,
-			Report:   pub,
+			Report:   publicReport(sr.Report),
 		})
 	}
 	return out, nil
