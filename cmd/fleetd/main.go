@@ -15,16 +15,21 @@
 // -fleet-store persists every accepted submission to a write-ahead log in
 // that directory before acknowledging it, and replays the log on startup:
 // a killed and restarted fleetd serves the same /fleet/report bytes it
-// would have without the crash.
+// would have without the crash. On SIGINT/SIGTERM it shuts down and
+// writes -trace, -metrics and -profile-report.
 //
 // Client simulation:
 //
 //	fleetd -push http://host:8344 -app sort [-fleet-clients N]
-//	       [-fleet-batch N] [-failruns N] [-succruns N] [-seed N] [-jobs N]
+//	       [-fleet-batch N] [-fleet-retries N] [-failruns N] [-succruns N]
+//	       [-seed N] [-jobs N] [-faults spec]
+//	       [-executor inproc|subprocess] [-resume dir] [-worker-bin bin]
 //
-// captures the benchmark's diagnosis profiles with the deployed builds and
-// fans them out over N concurrent simulated machines, each batching and
-// gzip-POSTing with retry-with-backoff.
+// captures the benchmark's diagnosis profiles with the deployed builds
+// (under -faults, through -executor, resuming from -resume) and fans them
+// out over N concurrent simulated machines, each batching and
+// gzip-POSTing with retry-with-backoff. -executor, -resume and -worker-bin
+// are usage errors in the other modes.
 //
 // Report fetch:
 //
@@ -32,6 +37,10 @@
 //
 // prints the server's ranking — byte-identical to the monolithic path's
 // core.Report rendering for the same profile population.
+//
+// Every mode takes the telemetry flags: -trace out.json, -metrics,
+// -metrics-format f, -v, -serve addr, -serve-addr-file f, -flightrec and
+// -profile-report K, written when the mode ends.
 package main
 
 import (
@@ -54,7 +63,7 @@ import (
 )
 
 func main() {
-	cliobs.MaybeTrialWorker()
+	cli := cliobs.New()
 	listen := flag.String("listen", "", "serve the fleet API on this `addr` (e.g. :8344; port 0 picks a free one)")
 	addrFile := flag.String("addr-file", "", "write the bound listen address to this `file` (scripts poll it instead of parsing logs)")
 	push := flag.String("push", "", "client mode: capture profiles and push them to this fleet server `URL`")
@@ -64,85 +73,51 @@ func main() {
 	topK := flag.Int("k", 10, "ranking depth requested by -report")
 	failRuns := flag.Int("failruns", 10, "failure profiles captured per -push")
 	succRuns := flag.Int("succruns", 10, "success profiles captured per -push")
-	seed := flag.Int64("seed", 0, "base seed for -push capture")
-	jobs := flag.Int("jobs", 0, "trial-execution workers for -push capture (0 = NumCPU)")
+	cli.Seed(0, "base seed for -push capture")
+	cli.Jobs("trial-execution workers for -push capture (0 = NumCPU)")
 	fleetStore := flag.String("fleet-store", "", "persist the profile store to a write-ahead log in this `dir` and replay it on startup (-listen only)")
-	ff := cliobs.RegisterFleet()
-	ef := cliobs.RegisterExec()
-	tf := cliobs.Register()
+	ff := cli.Fleet()
+	ef := cli.Exec()
 	flag.Parse()
-
-	fail2 := func(err error) {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if err := tf.Validate(); err != nil {
-		fail2(err)
-	}
-	if err := ff.Validate(); err != nil {
-		fail2(err)
-	}
-	if err := ef.Validate(); err != nil {
-		fail2(err)
-	}
-	if err := cliobs.CheckJobs(*jobs); err != nil {
-		fail2(err)
-	}
-	if *fleetStore != "" && *listen == "" {
-		fail2(fmt.Errorf("-fleet-store requires -listen"))
-	}
 	modes := 0
 	for _, on := range []bool{*listen != "", *push != "", *report != "", *get != ""} {
 		if on {
 			modes++
 		}
 	}
-	if modes != 1 {
-		fmt.Fprintln(os.Stderr, "exactly one of -listen, -push, -report or -get is required")
-		os.Exit(2)
-	}
-	for _, u := range []string{*push, *report, *get} {
-		if u == "" {
-			continue
-		}
-		if parsed, err := url.Parse(u); err != nil || parsed.Scheme == "" || parsed.Host == "" {
-			fail2(fmt.Errorf("fleet server URL %q must be absolute (http://host:port)", u))
-		}
-	}
+	cli.Check(
+		cliobs.Require(*fleetStore == "" || *listen != "", "-fleet-store requires -listen"),
+		cliobs.Require(*push != "" || (ef.Executor == cliobs.ExecInproc && ef.Resume == "" && ef.WorkerBin == ""),
+			"-executor, -resume and -worker-bin require -push"),
+		cliobs.Require(modes == 1, "exactly one of -listen, -push, -report or -get is required"),
+		absoluteURL(*push), absoluteURL(*report), absoluteURL(*get),
+	)
 
-	var err error
-	switch {
-	case *listen != "":
-		err = serve(*listen, *addrFile, *fleetStore, ff, tf)
-	case *push != "":
-		err = pushProfiles(*push, *app, harness.Config{
-			FailRuns: *failRuns, SuccRuns: *succRuns, Seed: *seed, Jobs: *jobs,
-		}, ff, ef, tf)
-	case *get != "":
-		err = fetchURL(*get)
-	default:
-		err = fetchReport(*report, *app, *topK)
+	base := harness.Config{FailRuns: *failRuns, SuccRuns: *succRuns}
+	if *listen != "" {
+		// A server always carries telemetry: ingest throughput and shard
+		// contention are its primary observables, and the federated trace
+		// (one lane per pushing client under the fleet PID) is always on
+		// /trace and /tracez.
+		base.Obs = obs.NewSink()
+		base.Obs.Trace = obs.NewTracer()
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	cli.Run(base, func(cfg harness.Config) error {
+		switch {
+		case *listen != "":
+			return serve(*listen, *addrFile, *fleetStore, ff, cfg.Obs)
+		case *push != "":
+			return pushProfiles(*push, *app, cfg, ff)
+		case *get != "":
+			return fetchURL(*get)
+		}
+		return fetchReport(*report, *app, *topK)
+	})
 }
 
 // serve runs the aggregator until SIGINT/SIGTERM: the fleet routes layered
 // over the full live-telemetry handler, one sink feeding both.
-func serve(addr, addrFile, storeDir string, ff *cliobs.FleetFlags, tf *cliobs.Flags) error {
-	sink := tf.Sink()
-	if sink == nil {
-		// A server always carries telemetry: ingest throughput and shard
-		// contention are its primary observables.
-		sink = obs.NewSink()
-	}
-	if sink.Trace == nil {
-		// The federated trace (one lane per pushing client under the fleet
-		// PID) is a serve-mode fixture: /trace and /tracez always have it.
-		sink.Trace = obs.NewTracer()
-	}
+func serve(addr, addrFile, storeDir string, ff *cliobs.FleetFlags, sink *obs.Sink) error {
 	var store *fleet.Store
 	if storeDir != "" {
 		var err error
@@ -188,7 +163,7 @@ func serve(addr, addrFile, storeDir string, ff *cliobs.FleetFlags, tf *cliobs.Fl
 // pushProfiles is one capture-and-submit cycle: the deployed builds
 // produce this benchmark's diagnosis profiles, which fan out over the
 // simulated machine population.
-func pushProfiles(baseURL, appName string, cfg harness.Config, ff *cliobs.FleetFlags, ef *cliobs.ExecFlags, tf *cliobs.Flags) error {
+func pushProfiles(baseURL, appName string, cfg harness.Config, ff *cliobs.FleetFlags) error {
 	if appName == "" {
 		return fmt.Errorf("-push requires -app (e.g. -app sort)")
 	}
@@ -196,20 +171,6 @@ func pushProfiles(baseURL, appName string, cfg harness.Config, ff *cliobs.FleetF
 	if a == nil {
 		return fmt.Errorf("unknown benchmark %q", appName)
 	}
-	cfg.Obs = tf.Sink()
-	executor, store, err := ef.Build(cfg.Obs, cfg.Faults, cfg.Seed)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if executor != nil {
-			executor.Close() //nolint:errcheck // best-effort teardown
-		}
-		if store != nil {
-			store.Close() //nolint:errcheck
-		}
-	}()
-	cfg.Executor, cfg.Artifacts = executor, store
 	mode, fail, succ, err := harness.DiagnosisProfiles(a, cfg)
 	if err != nil {
 		return err
@@ -226,6 +187,14 @@ func pushProfiles(baseURL, appName string, cfg harness.Config, ff *cliobs.FleetF
 	}
 	fmt.Printf("pushed %d profiles (%d fail, %d succ) for %s over %d clients to %s\n",
 		len(subs), len(fail), len(succ), a.Name, ff.Clients, baseURL)
+	return nil
+}
+
+// absoluteURL rejects a set fleet server URL that is not absolute.
+func absoluteURL(u string) error {
+	if parsed, err := url.Parse(u); u != "" && (err != nil || parsed.Scheme == "" || parsed.Host == "") {
+		return fmt.Errorf("fleet server URL %q must be absolute (http://host:port)", u)
+	}
 	return nil
 }
 

@@ -7,8 +7,9 @@
 // Usage:
 //
 //	lbrcov -app sort [-period N] [-periods N,N,...] [-seed N] [-jobs N]
-//	       [-faults spec] [-trace out.json] [-metrics] [-v]
-//	lbrcov -synth [-funcs N] [-stmts N] [-period N]
+//	       [-faults spec] [-trace out.json] [-metrics] [-metrics-format f] [-v]
+//	       [-serve addr] [-serve-addr-file f] [-flightrec] [-profile-report K]
+//	lbrcov -synth [-funcs N] [-stmts N] [-period N] [same flags]
 //
 // -periods sweeps several sampling periods in one invocation; the
 // measurements fan out across -jobs workers (default NumCPU) and print in
@@ -18,7 +19,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
@@ -29,91 +29,65 @@ import (
 )
 
 func main() {
-	cliobs.MaybeTrialWorker()
+	cli := cliobs.New()
 	app := flag.String("app", "", "benchmark to cover (success workload)")
 	useSynth := flag.Bool("synth", false, "cover a generated synthetic program instead")
 	funcs := flag.Int("funcs", 12, "synthetic program functions")
 	stmts := flag.Int("stmts", 40, "synthetic statements per function")
 	period := flag.Int("period", 500, "steps between LBR drains")
 	periodList := flag.String("periods", "", "comma-separated periods to sweep (overrides -period)")
-	seed := flag.Int64("seed", 1, "seed")
-	jobs := flag.Int("jobs", 0, "sweep workers (0 = NumCPU, 1 = sequential)")
-	tf := cliobs.Register()
+	cli.Seed(1, "seed")
+	cli.Jobs("sweep workers (0 = NumCPU, 1 = sequential)")
 	flag.Parse()
-	if err := tf.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if err := cliobs.CheckJobs(*jobs); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	faults, err := tf.FaultSpec()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if *useSynth && *app != "" {
-		fmt.Fprintln(os.Stderr, "-synth and -app are mutually exclusive")
-		os.Exit(2)
-	}
-	sink := tf.Sink()
-	if err := tf.Start(sink, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	periods, perr := parsePeriods(*period, *periodList)
+	cli.Check(
+		cliobs.Require(!*useSynth || *app == "", "-synth and -app are mutually exclusive"),
+		cliobs.Require(*useSynth || *app != "", "%w", flag.ErrHelp),
+		perr,
+	)
 
-	var src harness.CoverageSource
-	switch {
-	case *useSynth:
-		src = harness.CoverageSource{Seed: *seed, Synth: &synth.Config{
-			Seed: *seed, Funcs: *funcs, StmtsPerFunc: *stmts,
-		}}
-	case *app != "":
-		if apps.ByName(*app) == nil {
-			fmt.Fprintf(os.Stderr, "unknown benchmark %q\n", *app)
-			os.Exit(1)
+	cli.Run(harness.Config{}, func(cfg harness.Config) error {
+		src := harness.CoverageSource{App: *app, Seed: cfg.Seed}
+		if *useSynth {
+			src = harness.CoverageSource{Seed: cfg.Seed, Synth: &synth.Config{
+				Seed: cfg.Seed, Funcs: *funcs, StmtsPerFunc: *stmts,
+			}}
+		} else if apps.ByName(*app) == nil {
+			return fmt.Errorf("unknown benchmark %q", *app)
 		}
-		src = harness.CoverageSource{App: *app, Seed: *seed}
-	default:
-		flag.Usage()
-		os.Exit(2)
-	}
-	prog, _, err := src.Program()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
-	periods := []int{*period}
-	if *periodList != "" {
-		periods = periods[:0]
-		for _, f := range strings.Split(*periodList, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n <= 0 {
-				fmt.Fprintf(os.Stderr, "bad -periods entry %q\n", f)
-				os.Exit(2)
-			}
-			periods = append(periods, n)
+		prog, _, err := src.Program()
+		if err != nil {
+			return err
 		}
-	}
+		results, err := harness.CoverageSweep(src, periods, cfg.Pool())
+		if err != nil {
+			return err
+		}
+		fmt.Printf("program:           %s (%d instructions, %d source branches)\n",
+			prog.Name, len(prog.Instrs), len(prog.Branches))
+		for i, res := range results {
+			fmt.Printf("sampling period:   every %d steps (%d drains)\n", periods[i], res.Samples)
+			fmt.Printf("edges executed:    %d\n", res.ExecutedEdges)
+			fmt.Printf("edges recovered:   %d (%.1f%% coverage)\n", res.CoveredEdges, 100*res.Coverage)
+			fmt.Printf("sampling overhead: %.1f%%\n", 100*res.Overhead)
+		}
+		return nil
+	})
+}
 
-	pool := harness.NewPool(*jobs, sink).WithFaults(faults, *seed).WithRunID(harness.RunID(*seed, "cli"))
-	results, err := harness.CoverageSweep(src, periods, pool)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+// parsePeriods returns the sampling periods to sweep: the -periods list
+// when given, else the single -period.
+func parsePeriods(period int, list string) ([]int, error) {
+	if list == "" {
+		return []int{period}, nil
 	}
-	fmt.Printf("program:           %s (%d instructions, %d source branches)\n",
-		prog.Name, len(prog.Instrs), len(prog.Branches))
-	for i, res := range results {
-		fmt.Printf("sampling period:   every %d steps (%d drains)\n", periods[i], res.Samples)
-		fmt.Printf("edges executed:    %d\n", res.ExecutedEdges)
-		fmt.Printf("edges recovered:   %d (%.1f%% coverage)\n", res.CoveredEdges, 100*res.Coverage)
-		fmt.Printf("sampling overhead: %.1f%%\n", 100*res.Overhead)
+	var periods []int
+	for _, f := range strings.Split(list, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || n <= 0 {
+			return nil, fmt.Errorf("bad -periods entry %q", f)
+		}
+		periods = append(periods, n)
 	}
-	if err := tf.Finish(sink, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	return periods, nil
 }

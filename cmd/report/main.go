@@ -6,7 +6,8 @@
 // Usage:
 //
 //	report -app sort [-seed N] [-jobs N] [-faults spec]
-//	       [-trace out.json] [-metrics] [-v] > bundle.json
+//	       [-trace out.json] [-metrics] [-metrics-format f] [-v]
+//	       [-serve addr] [-serve-addr-file f] [-flightrec] [-profile-report K] > bundle.json
 //
 // The seed search fans out across -jobs workers (default NumCPU) and always
 // reports the first failing seed at or after -seed, independent of the
@@ -14,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -25,70 +27,38 @@ import (
 )
 
 func main() {
-	cliobs.MaybeTrialWorker()
+	cli := cliobs.New()
 	app := flag.String("app", "", "benchmark to crash and report (see stmdiag -list)")
-	seed := flag.Int64("seed", 0, "starting scheduler seed")
-	jobs := flag.Int("jobs", 0, "seed-search workers (0 = NumCPU, 1 = sequential)")
-	tf := cliobs.Register()
+	cli.Seed(0, "starting scheduler seed")
+	cli.Jobs("seed-search workers (0 = NumCPU, 1 = sequential)")
 	flag.Parse()
-	if err := tf.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if err := cliobs.CheckJobs(*jobs); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	faults, err := tf.FaultSpec()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	sink := tf.Sink()
-	if err := tf.Start(sink, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	finish := func() {
-		if err := tf.Finish(sink, os.Stderr); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	cli.Check(cliobs.Require(*app != "", "%w", flag.ErrHelp))
+
+	cli.Run(harness.Config{}, func(cfg harness.Config) error {
+		a := apps.ByName(*app)
+		if a == nil {
+			return fmt.Errorf("unknown benchmark %q", *app)
 		}
-	}
-	if *app == "" {
-		flag.Usage()
-		os.Exit(2)
-	}
-	a := apps.ByName(*app)
-	if a == nil {
-		fmt.Fprintf(os.Stderr, "unknown benchmark %q\n", *app)
-		os.Exit(1)
-	}
-	prog, err := harness.ReportProgram(a.Name)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	// The search scans seeds *seed, *seed+1, ... and keeps the first failing
-	// run in seed order, whatever the worker count.
-	pool := harness.NewPool(*jobs, sink).WithFaults(faults, *seed).WithRunID(harness.RunID(*seed, "cli"))
-	b, idx, err := harness.FirstKind[harness.ReportBundle](pool, 400, a.Name+"/report", "report-bundle",
-		harness.ReportParams{App: a.Name, Seed: *seed})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if idx < 0 {
-		fmt.Fprintln(os.Stderr, "no failing run within 400 seeds")
-		finish()
-		os.Exit(1)
-	}
-	if v := trace.Audit(prog, b.Data); len(v) > 0 {
-		fmt.Fprintf(os.Stderr, "privacy audit failed: %v\n", v)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "failure at seed %d; bundle audited clean (%d bytes)\n", b.Seed, len(b.Data))
-	os.Stdout.Write(b.Data)
-	fmt.Println()
-	finish()
+		prog, err := harness.ReportProgram(a.Name)
+		if err != nil {
+			return err
+		}
+		// The search scans seeds -seed, -seed+1, ... and keeps the first
+		// failing run in seed order, whatever the worker count.
+		b, idx, err := harness.FirstKind[harness.ReportBundle](cfg.Pool(), 400, a.Name+"/report", "report-bundle",
+			harness.ReportParams{App: a.Name, Seed: cfg.Seed})
+		if err != nil {
+			return err
+		}
+		if idx < 0 {
+			return errors.New("no failing run within 400 seeds")
+		}
+		if v := trace.Audit(prog, b.Data); len(v) > 0 {
+			return fmt.Errorf("privacy audit failed: %v", v)
+		}
+		fmt.Fprintf(os.Stderr, "failure at seed %d; bundle audited clean (%d bytes)\n", b.Seed, len(b.Data))
+		os.Stdout.Write(b.Data)
+		fmt.Println()
+		return nil
+	})
 }

@@ -114,7 +114,7 @@ func Open(dir string, sink *obs.Sink) (*Store, error) {
 	dropped := 0
 	for _, rec := range recs {
 		var e manifestEntry
-		if err := json.Unmarshal(rec, &e); err != nil || e.Key == "" || e.SHA == "" {
+		if err := json.Unmarshal(rec, &e); err != nil || e.Key == "" || !validSHA(e.SHA) {
 			dropped++
 			continue
 		}
@@ -129,6 +129,23 @@ func Open(dir string, sink *obs.Sink) (*Store, error) {
 		sink.Counter("artifact.manifest_rejects").Add(uint64(dropped))
 	}
 	return s, nil
+}
+
+// validSHA reports whether sha is a blob name Put could have written: 64
+// lowercase hex digits. Anything else in a manifest entry would index a
+// path the store never wrote — a short name panics the blobs/<aa>/ split,
+// and a "../" name reaches outside the store directory — so Open rejects
+// the entry and its key becomes a miss.
+func validSHA(sha string) bool {
+	if len(sha) != 2*sha256.Size {
+		return false
+	}
+	for _, c := range sha {
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // WithFaults arms the store-layer injectors (artifact-torn-write,

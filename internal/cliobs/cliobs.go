@@ -1,13 +1,22 @@
-// Package cliobs wires the -trace / -metrics / -metrics-format / -v
-// telemetry flags, the -serve live-telemetry flag, the -faults
-// fault-injection flag, the -profile-report cost-attribution flag, the
-// -ranker diagnosis-formula flag and the -executor / -resume / -worker-bin
-// durable-execution flags shared by the command-line binaries onto the
-// internal/obs, internal/obshttp, internal/faultinj, internal/prof,
-// internal/core, internal/harness and internal/artifact layers.
+// Package cliobs is the one command-line front end of the binaries. A
+// binary registers its flag groups on a CLI — the telemetry flags (-trace,
+// -metrics, -metrics-format, -v, -serve, -serve-addr-file, -flightrec,
+// -profile-report) and -faults always, plus -jobs, -seed, -ranker, the
+// durable-execution flags (-executor, -resume, -worker-bin) and the
+// -fleet-* flags as it needs them — and then goes through one lifecycle:
+//
+//   - Check validates every registered group and the binary's own checks
+//     right after flag.Parse, exiting 2 on the first error.
+//   - Run opens the run (sink, -serve, run-id announcement, executor,
+//     artifact store), hands the body a ready harness.Config, and closes
+//     the run exactly once on every way out: -trace, -metrics and
+//     -profile-report are written, -serve is stopped, and the executor and
+//     store are closed, whether the body succeeds, fails (exit 1) or
+//     panics.
 package cliobs
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -22,13 +31,48 @@ import (
 	"stmdiag/internal/prof"
 )
 
-// MaybeTrialWorker turns this process into a trial worker when the
-// STMDIAG_TRIAL_WORKER environment marker is set: it runs the worker
-// protocol loop on stdin/stdout and exits. Every binary that can drive a
-// trial pool calls this first in main, so any of them doubles as the
+// CLI is one binary's command-line front end: its registered flag groups
+// and, once Run opens it, the run's telemetry sink, executor and store.
+type CLI struct {
+	tel    *telemetryFlags
+	ranker *rankerFlag
+	exec   *ExecFlags
+	fleet  *FleetFlags
+	jobs   int
+	seed   int64
+	faults faultinj.Spec
+	stderr io.Writer
+
+	sink     *obs.Sink
+	executor harness.Executor
+	store    *artifact.Store
+	closed   bool
+}
+
+// New starts a binary's front end and registers the telemetry flags and
+// -faults on the default flag set. A process launched as a trial worker
+// (the STMDIAG_TRIAL_WORKER environment marker) runs the worker protocol
+// on stdin/stdout here and exits, so every binary doubles as the
 // subprocess executor's worker (-worker-bin defaults to the current
-// executable). A no-op in normal runs.
-func MaybeTrialWorker() {
+// executable). Call first in main, before flag.Parse.
+func New() *CLI {
+	maybeTrialWorker()
+	f := &telemetryFlags{}
+	flag.StringVar(&f.TracePath, "trace", "", "write a Chrome trace_event JSON trace (chrome://tracing, Perfetto) to this `file`")
+	flag.BoolVar(&f.Metrics, "metrics", false, "print the telemetry counters after the run")
+	flag.StringVar(&f.MetricsFormat, "metrics-format", FormatText, "render -metrics as `text`, json, detjson (deterministic families only) or prom (OpenMetrics)")
+	flag.BoolVar(&f.Verbose, "v", false, "record fine-grained (per-branch, per-coherence-event) trace events")
+	flag.StringVar(&f.Faults, "faults", "", "deterministic fault-injection `spec`, e.g. \"rate=0.01\" or \"lbr-drop=0.1,seed=7\" (\"off\" = none)")
+	flag.StringVar(&f.ServeAddr, "serve", "", "serve live telemetry (/metrics, /trace, /tracez, /flightrecorder, /debug/pprof) on this `addr` during the run, e.g. :9090")
+	flag.StringVar(&f.ServeAddrFile, "serve-addr-file", "", "write the -serve bound address to this `file` (scripts poll it instead of parsing logs)")
+	flag.BoolVar(&f.FlightRec, "flightrec", true, "keep a flight recorder of recent harness events on the telemetry sink")
+	flag.IntVar(&f.ProfileReport, "profile-report", 0, "render a top-`K` cost-attribution hot-spot report (opcodes, phases, alloc sites) on stderr after the run (0 = off)")
+	return &CLI{tel: f, stderr: os.Stderr}
+}
+
+// maybeTrialWorker runs the worker protocol loop and exits when the
+// worker environment marker is set; a no-op in normal runs.
+func maybeTrialWorker() {
 	if os.Getenv(harness.WorkerEnv) == "" {
 		return
 	}
@@ -37,6 +81,166 @@ func MaybeTrialWorker() {
 		os.Exit(1)
 	}
 	os.Exit(0)
+}
+
+// Jobs registers -jobs with the binary's help text; the value becomes
+// Config.Jobs.
+func (c *CLI) Jobs(usage string) { flag.IntVar(&c.jobs, "jobs", 0, usage) }
+
+// Seed registers -seed with the binary's default and help text; the value
+// becomes Config.Seed.
+func (c *CLI) Seed(def int64, usage string) { flag.Int64Var(&c.seed, "seed", def, usage) }
+
+// Ranker registers -ranker; the value becomes Config.Ranker.
+func (c *CLI) Ranker() {
+	c.ranker = &rankerFlag{}
+	flag.StringVar(&c.ranker.Name, "ranker", core.RankerCBI.String(),
+		"diagnosis scoring `formula`: cbi (the paper's harmonic mean), ochiai or tarantula")
+}
+
+// Exec registers -executor, -resume and -worker-bin; Run builds the
+// executor and artifact store they ask for.
+func (c *CLI) Exec() *ExecFlags {
+	f := &ExecFlags{}
+	flag.StringVar(&f.Executor, "executor", ExecInproc,
+		"trial execution `engine`: inproc (in this process) or subprocess (isolated worker processes)")
+	flag.StringVar(&f.Resume, "resume", "",
+		"durable artifact-store `dir`: persist trial results as they commit and resume a killed run from it")
+	flag.StringVar(&f.WorkerBin, "worker-bin", "",
+		"worker `binary` for -executor subprocess (default: this executable)")
+	c.exec = f
+	return f
+}
+
+// Fleet registers the -fleet-* flags and returns them for the binary to
+// read after Check.
+func (c *CLI) Fleet() *FleetFlags {
+	f := &FleetFlags{}
+	flag.IntVar(&f.Shards, "fleet-shards", 16, "profile-store lock stripes per app (1..4096)")
+	flag.IntVar(&f.Clients, "fleet-clients", 4, "simulated machines a -push fans profiles over")
+	flag.IntVar(&f.Batch, "fleet-batch", 64, "profile submissions per ingest POST")
+	flag.IntVar(&f.Retries, "fleet-retries", 5, "max re-sends of one batch after a 5xx")
+	c.fleet = f
+	return f
+}
+
+// Check validates every registered flag group, then the binary's own
+// checks in order (build them with Require), and exits 2 on the first
+// error. An error wrapping flag.ErrHelp prints the flag usage instead of
+// itself. Call right after flag.Parse.
+func (c *CLI) Check(own ...error) {
+	if err := c.check(own); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			flag.Usage()
+		} else {
+			fmt.Fprintln(c.stderr, err)
+		}
+		os.Exit(2)
+	}
+}
+
+func (c *CLI) check(own []error) error {
+	spec, err := c.tel.faultSpec()
+	c.faults = spec
+	errs := []error{c.tel.validate(), err, checkJobs(c.jobs)}
+	if c.ranker != nil {
+		errs = append(errs, c.ranker.validate())
+	}
+	if c.exec != nil {
+		errs = append(errs, c.exec.validate())
+	}
+	if c.fleet != nil {
+		errs = append(errs, c.fleet.validate())
+	}
+	for _, err := range append(errs, own...) {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Require returns the usage error format describes unless ok holds; pass
+// the results to Check.
+func Require(ok bool, format string, args ...any) error {
+	if ok {
+		return nil
+	}
+	return fmt.Errorf(format, args...)
+}
+
+// Run is the run's lifecycle. It opens the run: base.Obs, when set, is the
+// sink the telemetry flags arm (a binary that needs a registry whatever
+// the flags pass one); otherwise a sink is built only when a telemetry
+// flag asks for it. -serve starts, the run id is announced when -serve or
+// -trace is on, and the executor and store are built. body then gets base
+// completed with the flags' Jobs, Seed, Obs, Faults, Ranker, Executor and
+// Artifacts. Run closes the run exactly once however body ends; an open,
+// body or close error is printed and the process exits 1.
+func (c *CLI) Run(base harness.Config, body func(harness.Config) error) {
+	if c.run(base, body) != nil {
+		os.Exit(1)
+	}
+}
+
+func (c *CLI) run(base harness.Config, body func(harness.Config) error) (err error) {
+	defer func() {
+		if cerr := c.close(); cerr != nil {
+			fmt.Fprintln(c.stderr, cerr)
+			if err == nil {
+				err = cerr
+			}
+		}
+	}()
+	cfg, err := c.open(base)
+	if err == nil {
+		err = body(cfg)
+	}
+	if err != nil {
+		fmt.Fprintln(c.stderr, err)
+	}
+	return err
+}
+
+func (c *CLI) open(base harness.Config) (harness.Config, error) {
+	c.sink = c.tel.sink(base.Obs)
+	if err := c.tel.start(c.sink, c.stderr); err != nil {
+		return base, err
+	}
+	if c.tel.ServeAddr != "" || c.tel.TracePath != "" {
+		// The correlation ID every trial's federated telemetry is stamped
+		// with (Config.Pool derives the same value): grep it out of worker
+		// deltas, traces and fleet batches to tie them to this run.
+		fmt.Fprintf(c.stderr, "telemetry: run id %016x\n", harness.RunID(c.seed, "config"))
+	}
+	if c.exec != nil {
+		var err error
+		if c.executor, c.store, err = c.exec.build(c.sink, c.faults, c.seed); err != nil {
+			return base, err
+		}
+	}
+	cfg := base
+	cfg.Jobs, cfg.Seed, cfg.Obs, cfg.Faults = c.jobs, c.seed, c.sink, c.faults
+	if c.ranker != nil {
+		cfg.Ranker = c.ranker.ranker()
+	}
+	cfg.Executor, cfg.Artifacts = c.executor, c.store
+	return cfg, nil
+}
+
+// close writes -trace, -metrics and -profile-report, stops -serve and
+// closes the executor and store; calls after the first are no-ops.
+func (c *CLI) close() error {
+	if c.closed {
+		return nil
+	}
+	c.closed = true
+	err := c.tel.finish(c.sink, c.stderr)
+	if c.executor != nil {
+		c.executor.Close() //nolint:errcheck // best-effort teardown
+	}
+	c.store.Close() //nolint:errcheck
+	return err
 }
 
 // Metrics output formats accepted by -metrics-format.
@@ -50,8 +254,8 @@ const (
 	FormatDetJSON = "detjson"
 )
 
-// Flags holds the parsed telemetry flags.
-type Flags struct {
+// telemetryFlags holds the parsed telemetry flags.
+type telemetryFlags struct {
 	// TracePath is the -trace destination ("" = tracing off).
 	TracePath string
 	// Metrics prints a metrics snapshot after the run (-metrics).
@@ -61,8 +265,7 @@ type Flags struct {
 	MetricsFormat string
 	// Verbose raises trace detail to per-branch/per-coherence events (-v).
 	Verbose bool
-	// Faults is the raw -faults fault-injection spec ("" = off); parse it
-	// with FaultSpec after flag.Parse.
+	// Faults is the raw -faults fault-injection spec ("" = off).
 	Faults string
 	// ServeAddr is the -serve listen address ("" = no telemetry server).
 	ServeAddr string
@@ -81,25 +284,8 @@ type Flags struct {
 	server *obshttp.Server
 }
 
-// Register installs -trace, -metrics, -metrics-format, -v, -faults, -serve
-// and -flightrec on the default flag set. Call before flag.Parse.
-func Register() *Flags {
-	f := &Flags{}
-	flag.StringVar(&f.TracePath, "trace", "", "write a Chrome trace_event JSON trace (chrome://tracing, Perfetto) to this `file`")
-	flag.BoolVar(&f.Metrics, "metrics", false, "print the telemetry counters after the run")
-	flag.StringVar(&f.MetricsFormat, "metrics-format", FormatText, "render -metrics as `text`, json, detjson (deterministic families only) or prom (OpenMetrics)")
-	flag.BoolVar(&f.Verbose, "v", false, "record fine-grained (per-branch, per-coherence-event) trace events")
-	flag.StringVar(&f.Faults, "faults", "", "deterministic fault-injection `spec`, e.g. \"rate=0.01\" or \"lbr-drop=0.1,seed=7\" (\"off\" = none)")
-	flag.StringVar(&f.ServeAddr, "serve", "", "serve live telemetry (/metrics, /trace, /tracez, /flightrecorder, /debug/pprof) on this `addr` during the run, e.g. :9090")
-	flag.StringVar(&f.ServeAddrFile, "serve-addr-file", "", "write the -serve bound address to this `file` (scripts poll it instead of parsing logs)")
-	flag.BoolVar(&f.FlightRec, "flightrec", true, "keep a flight recorder of recent harness events on the telemetry sink")
-	flag.IntVar(&f.ProfileReport, "profile-report", 0, "render a top-`K` cost-attribution hot-spot report (opcodes, phases, alloc sites) on stderr after the run (0 = off)")
-	return f
-}
-
-// Validate rejects malformed flag combinations; call right after
-// flag.Parse and exit 2 on error.
-func (f *Flags) Validate() error {
+// validate rejects malformed telemetry flag combinations.
+func (f *telemetryFlags) validate() error {
 	if f.ProfileReport < 0 {
 		return fmt.Errorf("-profile-report must be >= 0 (0 = off), got %d", f.ProfileReport)
 	}
@@ -114,9 +300,9 @@ func (f *Flags) Validate() error {
 		FormatText, FormatJSON, FormatDetJSON, FormatProm, f.MetricsFormat)
 }
 
-// FaultSpec parses the -faults value. The zero spec (injection off) comes
+// faultSpec parses the -faults value. The zero spec (injection off) comes
 // back for "" and "off".
-func (f *Flags) FaultSpec() (faultinj.Spec, error) {
+func (f *telemetryFlags) faultSpec() (faultinj.Spec, error) {
 	spec, err := faultinj.ParseSpec(f.Faults)
 	if err != nil {
 		return faultinj.Spec{}, fmt.Errorf("-faults: %w", err)
@@ -124,42 +310,32 @@ func (f *Flags) FaultSpec() (faultinj.Spec, error) {
 	return spec, nil
 }
 
-// CheckJobs validates a -jobs value: 0 means NumCPU and positive counts
+// checkJobs validates a -jobs value: 0 means NumCPU and positive counts
 // are worker counts, but negative values are malformed rather than a
 // silent fallback.
-func CheckJobs(jobs int) error {
+func checkJobs(jobs int) error {
 	if jobs < 0 {
 		return fmt.Errorf("-jobs must be >= 0 (0 = NumCPU), got %d", jobs)
 	}
 	return nil
 }
 
-// RankerFlag holds the raw -ranker value shared by the diagnosis-driving
-// binaries; Validate resolves it against core.Rankers.
-type RankerFlag struct {
+// rankerFlag holds the raw -ranker value shared by the diagnosis-driving
+// binaries; validate resolves it against core.Rankers.
+type rankerFlag struct {
 	// Name is the -ranker value (cbi, ochiai or tarantula).
 	Name string
 }
 
-// RegisterRanker installs -ranker on the default flag set. Call before
-// flag.Parse.
-func RegisterRanker() *RankerFlag {
-	f := &RankerFlag{}
-	flag.StringVar(&f.Name, "ranker", core.RankerCBI.String(),
-		"diagnosis scoring `formula`: cbi (the paper's harmonic mean), ochiai or tarantula")
-	return f
-}
-
-// Validate rejects unknown ranker names; call right after flag.Parse and
-// exit 2 on error.
-func (f *RankerFlag) Validate() error {
+// validate rejects unknown ranker names.
+func (f *rankerFlag) validate() error {
 	_, err := core.ParseRanker(f.Name)
 	return err
 }
 
-// Ranker resolves the flag; call after Validate (unknown names fall back
+// ranker resolves the flag; call after validate (unknown names fall back
 // to the paper's CBI ranker).
-func (f *RankerFlag) Ranker() core.Ranker {
+func (f *rankerFlag) ranker() core.Ranker {
 	r, _ := core.ParseRanker(f.Name)
 	return r
 }
@@ -185,22 +361,8 @@ type ExecFlags struct {
 	WorkerBin string
 }
 
-// RegisterExec installs -executor, -resume and -worker-bin on the default
-// flag set. Call before flag.Parse.
-func RegisterExec() *ExecFlags {
-	f := &ExecFlags{}
-	flag.StringVar(&f.Executor, "executor", ExecInproc,
-		"trial execution `engine`: inproc (in this process) or subprocess (isolated worker processes)")
-	flag.StringVar(&f.Resume, "resume", "",
-		"durable artifact-store `dir`: persist trial results as they commit and resume a killed run from it")
-	flag.StringVar(&f.WorkerBin, "worker-bin", "",
-		"worker `binary` for -executor subprocess (default: this executable)")
-	return f
-}
-
-// Validate rejects malformed execution flags; call right after flag.Parse
-// and exit 2 on error.
-func (f *ExecFlags) Validate() error {
+// validate rejects malformed execution flags.
+func (f *ExecFlags) validate() error {
 	switch f.Executor {
 	case ExecInproc, ExecSubprocess:
 	default:
@@ -217,12 +379,11 @@ func (f *ExecFlags) Validate() error {
 	return nil
 }
 
-// Build assembles the executor and artifact store the flags ask for; both
+// build assembles the executor and artifact store the flags ask for; both
 // are nil on the all-default path (in-process, no persistence). The store
 // is armed with the run's fault spec so the artifact-layer injectors
 // (artifact-torn-write, artifact-corrupt, journal-trunc) fire on it.
-// Callers own Close on both.
-func (f *ExecFlags) Build(sink *obs.Sink, faults faultinj.Spec, seed int64) (harness.Executor, *artifact.Store, error) {
+func (f *ExecFlags) build(sink *obs.Sink, faults faultinj.Spec, seed int64) (harness.Executor, *artifact.Store, error) {
 	var exec harness.Executor
 	if f.Executor == ExecSubprocess {
 		e, err := harness.NewSubprocExecutor(harness.SubprocOptions{Bin: f.WorkerBin, Sink: sink})
@@ -235,10 +396,7 @@ func (f *ExecFlags) Build(sink *obs.Sink, faults faultinj.Spec, seed int64) (har
 	if f.Resume != "" {
 		s, err := artifact.Open(f.Resume, sink)
 		if err != nil {
-			if exec != nil {
-				exec.Close()
-			}
-			return nil, nil, err
+			return exec, nil, err
 		}
 		store = s.WithFaults(faults, seed)
 	}
@@ -260,20 +418,8 @@ type FleetFlags struct {
 	Retries int
 }
 
-// RegisterFleet installs the -fleet-* flags on the default flag set. Call
-// before flag.Parse.
-func RegisterFleet() *FleetFlags {
-	f := &FleetFlags{}
-	flag.IntVar(&f.Shards, "fleet-shards", 16, "profile-store lock stripes per app (1..4096)")
-	flag.IntVar(&f.Clients, "fleet-clients", 4, "simulated machines a -push fans profiles over")
-	flag.IntVar(&f.Batch, "fleet-batch", 64, "profile submissions per ingest POST")
-	flag.IntVar(&f.Retries, "fleet-retries", 5, "max re-sends of one batch after a 5xx")
-	return f
-}
-
-// Validate rejects malformed -fleet-* values; call right after flag.Parse
-// and exit 2 on error.
-func (f *FleetFlags) Validate() error {
+// validate rejects malformed -fleet-* values.
+func (f *FleetFlags) validate() error {
 	if f.Shards < 1 || f.Shards > 4096 {
 		return fmt.Errorf("-fleet-shards must be in 1..4096, got %d", f.Shards)
 	}
@@ -289,24 +435,28 @@ func (f *FleetFlags) Validate() error {
 	return nil
 }
 
-// Sink builds the sink the flags ask for. It returns nil when every flag
-// is off, keeping the disabled-telemetry path free. Metrics land in the
-// process-wide registry so instrumentation-time counters (sites
-// instrumented, bundles audited) appear in the same snapshot. A -serve
-// run always gets a sink (the server needs something to expose), and any
-// sink carries a pipeline flight recorder unless -flightrec=false.
-func (f *Flags) Sink() *obs.Sink {
+// sink arms base with what the flags ask for, building a sink when base is
+// nil. With every telemetry flag off it returns base untouched (nil keeps
+// the disabled-telemetry path free). Metrics land in the process-wide
+// registry so instrumentation-time counters (sites instrumented, bundles
+// audited) appear in the same snapshot. A -serve run always gets a sink
+// (the server needs something to expose), and an armed sink carries a
+// pipeline flight recorder unless -flightrec=false.
+func (f *telemetryFlags) sink(base *obs.Sink) *obs.Sink {
 	if f.TracePath == "" && !f.Metrics && !f.Verbose && f.ServeAddr == "" && f.ProfileReport == 0 {
-		return nil
+		return base
 	}
-	s := obs.NewSink()
-	if f.TracePath != "" || f.ServeAddr != "" {
+	s := base
+	if s == nil {
+		s = obs.NewSink()
+	}
+	if (f.TracePath != "" || f.ServeAddr != "") && s.Trace == nil {
 		s.Trace = obs.NewTracer()
 	}
 	if f.Verbose {
 		s.Verbosity = 1
 	}
-	if f.FlightRec {
+	if f.FlightRec && s.Flight == nil {
 		s.Flight = obs.NewFlightRecorder(obs.DefaultFlightCap)
 	}
 	// -profile-report needs the attribution counters. A -serve run serves
@@ -318,9 +468,9 @@ func (f *Flags) Sink() *obs.Sink {
 	return s
 }
 
-// Start launches the -serve telemetry server over the run's sink; no-op
+// start launches the -serve telemetry server over the run's sink; no-op
 // without -serve. The bound address (useful with ":0") is announced on w.
-func (f *Flags) Start(s *obs.Sink, w io.Writer) error {
+func (f *telemetryFlags) start(s *obs.Sink, w io.Writer) error {
 	if f.ServeAddr == "" {
 		return nil
 	}
@@ -338,18 +488,9 @@ func (f *Flags) Start(s *obs.Sink, w io.Writer) error {
 	return nil
 }
 
-// ServerAddr returns the live telemetry server's bound address ("" when
-// -serve is off or Start has not run).
-func (f *Flags) ServerAddr() string {
-	if f.server == nil {
-		return ""
-	}
-	return f.server.Addr()
-}
-
-// Finish writes the trace file, prints the metrics snapshot to w in the
+// finish writes the trace file, prints the metrics snapshot to w in the
 // format -metrics-format asks for, and stops the -serve server.
-func (f *Flags) Finish(s *obs.Sink, w io.Writer) error {
+func (f *telemetryFlags) finish(s *obs.Sink, w io.Writer) error {
 	if f.server != nil {
 		f.server.SetReady(false)
 		defer f.server.Close()

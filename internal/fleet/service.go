@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"stmdiag/internal/obs"
+	"stmdiag/internal/obshttp"
 )
 
 // MaxBatchBytes bounds one ingest POST twice: the request body as sent,
@@ -72,8 +73,8 @@ func NewService(store *Store, base http.Handler, sink *obs.Sink) *Service {
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/fleet/ingest", s.handleIngest)
-	mux.HandleFunc("/fleet/stats", s.handleStats)
-	mux.HandleFunc("/fleet/report", s.handleReport)
+	mux.HandleFunc("/fleet/stats", obshttp.ReadOnly(s.handleStats))
+	mux.HandleFunc("/fleet/report", obshttp.ReadOnly(s.handleReport))
 	if s.base != nil {
 		mux.Handle("/", s.base)
 	}
@@ -215,9 +216,6 @@ type StatsDump struct {
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
-	if !readOnlyMethod(w, r) {
-		return
-	}
 	dump := StatsDump{
 		Shards:   s.store.Shards(),
 		Batches:  s.batches.Value(),
@@ -240,9 +238,6 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 // the exact text the monolithic pipeline prints, so fleet-vs-monolithic
 // convergence can be compared byte for byte.
 func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
-	if !readOnlyMethod(w, r) {
-		return
-	}
 	app := r.URL.Query().Get("app")
 	if app == "" {
 		apps := s.store.Apps()
@@ -269,15 +264,4 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Header().Set("Cache-Control", "no-store")
 	io.WriteString(w, rep.Render(k)) //nolint:errcheck // best-effort over HTTP
-}
-
-// readOnlyMethod admits GET/HEAD and rejects everything else with 405 +
-// Allow, mirroring internal/obshttp's read-only endpoint policy.
-func readOnlyMethod(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method == http.MethodGet || r.Method == http.MethodHead {
-		return true
-	}
-	w.Header().Set("Allow", "GET, HEAD")
-	http.Error(w, "read-only endpoint", http.StatusMethodNotAllowed)
-	return false
 }

@@ -95,7 +95,7 @@ func branchLayers(p *isa.Program, failPC int) [][]string {
 // exhausted.
 func RunAdaptive(a *apps.App, rate float64, runsPerIter, maxIters int, conf Config) (*AdaptiveResult, error) {
 	conf = conf.withDefaults()
-	pool := conf.pool()
+	pool := conf.Pool()
 	p := a.Program()
 	failPC := a.FaultPC()
 	if failPC < 0 {

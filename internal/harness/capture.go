@@ -177,7 +177,7 @@ func DiagnosisProfiles(a *apps.App, cfg Config) (core.Mode, []core.ProfiledRun, 
 	if a.Class.Concurrent() {
 		mode = core.ModeLCR
 	}
-	c, err := capture(a, tableCapture(mode), cfg, cfg.pool())
+	c, err := capture(a, tableCapture(mode), cfg, cfg.Pool())
 	if err != nil {
 		return mode, nil, nil, err
 	}

@@ -79,7 +79,7 @@ func modalRank(ranks []int) int {
 // RunConcurrent reproduces one Table 7 row.
 func RunConcurrent(a *apps.App, cfg Config) (*ConcResult, error) {
 	cfg = cfg.withDefaults()
-	pool := cfg.pool()
+	pool := cfg.Pool()
 	res := &ConcResult{App: a}
 	rowStart := beginRow(cfg, a.Name, "concurrent")
 

@@ -179,7 +179,7 @@ func Table9(cfg Config) (string, error) {
 	}
 
 	total := len(cells) * perCell
-	outcomes, err := MapKind[corpusOutcome](cfg.pool(), total, "corpus/table9", "corpus-program", corpusParams{
+	outcomes, err := MapKind[corpusOutcome](cfg.Pool(), total, "corpus/table9", "corpus-program", corpusParams{
 		PerCell: perCell, Seed: cfg.Seed, MaxAttempts: cfg.MaxAttempts,
 		FailRuns: cfg.FailRuns, SuccRuns: cfg.SuccRuns, LBRSize: cfg.LBRSize, LCRSize: cfg.LCRSize,
 	})

@@ -50,7 +50,7 @@ const WorkerStderrTail = 2 << 10
 // SubprocOptions configures the subprocess executor.
 type SubprocOptions struct {
 	// Bin is the worker binary; "" uses the current executable (every
-	// harness binary doubles as a worker via cliobs.MaybeTrialWorker).
+	// harness binary doubles as a worker via cliobs.New).
 	Bin string
 	// Args are extra arguments passed to the worker binary.
 	Args []string

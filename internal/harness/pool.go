@@ -126,7 +126,7 @@ func (e *TrialError) FlightTail() string {
 // Pool executes independent portable trials across a fixed number of
 // workers.
 // A Pool is cheap (no long-lived goroutines); build one per experiment via
-// Config.pool or NewPool and share it across that experiment's fan-outs.
+// Config.Pool or NewPool and share it across that experiment's fan-outs.
 type Pool struct {
 	jobs int
 	sink *obs.Sink

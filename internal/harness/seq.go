@@ -107,8 +107,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// pool builds the trial-execution pool for one experiment entry point.
-func (c Config) pool() *Pool {
+// Pool builds the trial-execution pool for one experiment entry point:
+// Jobs workers reporting into Obs, armed with Faults, stamped with the
+// run ID RunID(Seed, "config"), routed through Executor and persisting
+// into Artifacts. Jobs <= 0 selects runtime.NumCPU().
+func (c Config) Pool() *Pool {
 	return NewPool(c.Jobs, c.Obs).WithFaults(c.Faults, c.Seed).
 		WithRunID(RunID(c.Seed, "config")).
 		WithExecutor(c.Executor).WithArtifacts(c.Artifacts)
@@ -167,7 +170,7 @@ func rankWithFallback(a *apps.App, run core.ProfiledRun) (rank int, related bool
 // RunSequential reproduces one Table 6 row.
 func RunSequential(a *apps.App, cfg Config) (*SeqResult, error) {
 	cfg = cfg.withDefaults()
-	pool := cfg.pool()
+	pool := cfg.Pool()
 	res := &SeqResult{App: a}
 	rowStart := beginRow(cfg, a.Name, "sequential")
 

@@ -149,7 +149,7 @@ func Table2() string {
 // reports whether the FPE occurs in the failure thread.
 func Table3(cfg Config) (string, error) {
 	cfg = cfg.withDefaults()
-	pool := cfg.pool()
+	pool := cfg.Pool()
 	var b strings.Builder
 	b.WriteString("Table 3: failure predicting events (FPE) per concurrency-bug class\n\n")
 	fmt.Fprintf(&b, "%-12s %-24s %-22s %-18s %s\n", "benchmark", "bug class", "FPE (paper)", "FPE observed", "in failure thread")
@@ -336,7 +336,7 @@ type robustRow struct {
 // profiles degrades the verdict instead of failing the table.
 func table8Row(a *apps.App, cfg Config) (*robustRow, error) {
 	cfg = cfg.withDefaults()
-	pool := cfg.pool()
+	pool := cfg.Pool()
 	endCapture := beginPhase(cfg, a.Name, phaseCapture)
 	c, err := capture(a, robustCapture, cfg, pool)
 	if err != nil {
@@ -539,7 +539,7 @@ func DiagnosisLatency(a *apps.App, maxRuns int, cfg Config) (lbraRuns, cbiRuns i
 			break
 		}
 	}
-	pool := cfg.pool()
+	pool := cfg.Pool()
 	for _, n := range []int{50, 200, 500, 1000} {
 		if n > maxRuns {
 			break

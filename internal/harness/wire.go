@@ -499,7 +499,7 @@ func (e *InprocExecutor) Run(req *TrialRequest) (*TrialResponse, error) {
 func (e *InprocExecutor) Close() error { return nil }
 
 // WorkerEnv marks a process as a trial worker: when set, binaries that call
-// cliobs.MaybeTrialWorker() run WorkerMain on stdin/stdout instead of their
+// cliobs.New() run WorkerMain on stdin/stdout instead of their
 // normal command. This lets any harness binary double as its own worker
 // (-worker-bin defaults to the current executable).
 const WorkerEnv = "STMDIAG_TRIAL_WORKER"

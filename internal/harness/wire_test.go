@@ -18,7 +18,7 @@ import (
 // TestMain lets the test binary double as a subprocess-executor worker:
 // the executor spawns os.Executable() with the WorkerEnv marker set, and
 // the marked process runs the protocol loop instead of the test suite —
-// exactly how the real binaries behave via cliobs.MaybeTrialWorker.
+// exactly how the real binaries behave via cliobs.New.
 func TestMain(m *testing.M) {
 	if os.Getenv(WorkerEnv) != "" {
 		if err := WorkerMain(os.Stdin, os.Stdout); err != nil {

@@ -71,14 +71,15 @@ func (s *Server) registry() *obs.Registry {
 	return obs.Default()
 }
 
-// readOnly guards a telemetry endpoint: every handler here only snapshots
-// state, so anything but GET/HEAD is a caller bug (or a probe trying to
-// write) and gets 405 with the allowed set announced.
-func readOnly(h http.HandlerFunc) http.HandlerFunc {
+// ReadOnly guards a read-only endpoint — every telemetry handler here and
+// the fleet service's stats and report — which only snapshots state, so
+// anything but GET/HEAD is a caller bug (or a probe trying to write) and
+// gets 405 with the allowed set announced.
+func ReadOnly(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {
 			w.Header().Set("Allow", "GET, HEAD")
-			http.Error(w, "read-only telemetry endpoint", http.StatusMethodNotAllowed)
+			http.Error(w, "read-only endpoint", http.StatusMethodNotAllowed)
 			return
 		}
 		h(w, r)
@@ -89,13 +90,13 @@ func readOnly(h http.HandlerFunc) http.HandlerFunc {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleIndex)
-	mux.HandleFunc("/metrics", readOnly(s.handleMetrics))
+	mux.HandleFunc("/metrics", ReadOnly(s.handleMetrics))
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.HandleFunc("/trace", readOnly(s.handleTrace))
-	mux.HandleFunc("/tracez", readOnly(s.handleTracez))
-	mux.HandleFunc("/flightrecorder", readOnly(s.handleFlight))
-	mux.HandleFunc("/profilez", readOnly(s.handleProfilez))
+	mux.HandleFunc("/trace", ReadOnly(s.handleTrace))
+	mux.HandleFunc("/tracez", ReadOnly(s.handleTracez))
+	mux.HandleFunc("/flightrecorder", ReadOnly(s.handleFlight))
+	mux.HandleFunc("/profilez", ReadOnly(s.handleProfilez))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

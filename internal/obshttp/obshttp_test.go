@@ -11,7 +11,8 @@ import (
 	"sync"
 	"testing"
 
-	"stmdiag"
+	"stmdiag/internal/apps"
+	"stmdiag/internal/harness"
 	"stmdiag/internal/obs"
 	"stmdiag/internal/obshttp"
 )
@@ -317,7 +318,7 @@ func TestMetricsScrapeMidRun(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := stmdiag.SequentialRow("sort", stmdiag.ExperimentConfig{
+		_, err := harness.RunSequential(apps.ByName("sort"), harness.Config{
 			FailRuns: 3, SuccRuns: 3, CBIRuns: 20, OverheadRuns: 2,
 			Jobs: 2, Obs: sink,
 		})
@@ -333,7 +334,7 @@ func TestMetricsScrapeMidRun(t *testing.T) {
 			select {
 			case err := <-done:
 				if err != nil {
-					t.Errorf("SequentialRow: %v", err)
+					t.Errorf("RunSequential: %v", err)
 				}
 				return
 			default:

@@ -48,7 +48,7 @@ go test -race ./internal/fleet/...
 echo "== fuzz corpus replay"
 # Replays the committed seed corpora (f.Add seeds + testdata/fuzz entries)
 # as regular tests; no fuzzing time is spent.
-go test ./internal/stats ./internal/pmu ./internal/faultinj ./internal/synth ./internal/obs ./internal/fleet -run 'Fuzz'
+go test ./internal/stats ./internal/pmu ./internal/faultinj ./internal/synth ./internal/obs ./internal/fleet ./internal/artifact -run 'Fuzz'
 
 echo "== -jobs stdout identity"
 EXP="${TMPDIR:-/tmp}/stmdiag-check-experiments"
@@ -82,6 +82,30 @@ if "$SMD" -app sort -jobs -1 >/dev/null 2>&1; then
     echo "-jobs -1 was accepted" >&2
     exit 1
 fi
+
+echo "== failing run flushes telemetry"
+# A run that fails still closes through the one cliobs lifecycle: with
+# every trial panicking the diagnosis exits 1, yet -trace is written and
+# -metrics printed.
+FAIL_TRACE="${TMPDIR:-/tmp}/stmdiag-check-fail.trace"
+FAIL_ERR="${TMPDIR:-/tmp}/stmdiag-check-fail.err"
+rm -f "$FAIL_TRACE"
+set +e
+"$SMD" -app sort -failruns 4 -succruns 4 -cbiruns 40 -faults panic=1 \
+    -trace "$FAIL_TRACE" -metrics >/dev/null 2>"$FAIL_ERR"
+rc=$?
+set -e
+if [ "$rc" != 1 ]; then
+    echo "failing run exited $rc, want 1" >&2
+    exit 1
+fi
+if [ "$(head -n 1 "$FAIL_TRACE" 2>/dev/null)" != '{"traceEvents":[' ] \
+    || [ "$(tail -n 1 "$FAIL_TRACE")" != ']}' ]; then
+    echo "failing run wrote no valid -trace" >&2
+    exit 1
+fi
+grep -q '^faultinj.injected.panic ' "$FAIL_ERR" \
+    || { echo "failing run printed no -metrics" >&2; exit 1; }
 
 echo "== -corpus smoke + jobs identity"
 # Table 9's generated-bug corpus: a reduced per-cell sweep must complete
@@ -251,8 +275,9 @@ echo "== fleetd ingest smoke"
 FLEETD="${TMPDIR:-/tmp}/stmdiag-check-fleetd"
 FLEET_ADDR_FILE="${TMPDIR:-/tmp}/stmdiag-check-fleetd.addr"
 go build -o "$FLEETD" ./cmd/fleetd
-rm -f "$FLEET_ADDR_FILE"
-"$FLEETD" -listen 127.0.0.1:0 -addr-file "$FLEET_ADDR_FILE" 2>/dev/null &
+FLEET_TRACE="${TMPDIR:-/tmp}/stmdiag-check-fleetd.trace"
+rm -f "$FLEET_ADDR_FILE" "$FLEET_TRACE"
+"$FLEETD" -listen 127.0.0.1:0 -addr-file "$FLEET_ADDR_FILE" -trace "$FLEET_TRACE" 2>/dev/null &
 FLEETD_PID=$!
 trap 'kill "$FLEETD_PID" 2>/dev/null || true' EXIT
 i=0
@@ -270,10 +295,15 @@ FLEET_URL="http://$(cat "$FLEET_ADDR_FILE")"
 "$FLEETD" -report "$FLEET_URL" | grep -q 'LBRA diagnosis over' \
     || { echo "fleetd -report printed no diagnosis" >&2; exit 1; }
 kill "$FLEETD_PID" 2>/dev/null || true
+wait "$FLEETD_PID" 2>/dev/null || true
 trap - EXIT
-# Malformed -fleet-* values must be rejected with exit 2 (usage error)
-# before any capture or network work starts.
-for badflags in "-fleet-shards 0" "-fleet-clients 0" "-fleet-batch -1" "-fleet-retries -1" "-fleet-store ${TMPDIR:-/tmp}/stmdiag-check-walless"; do
+# SIGTERM shuts the server down through the same close step as every
+# other run, so its -trace lands on disk.
+[ -s "$FLEET_TRACE" ] || { echo "fleetd -listen wrote no -trace on shutdown" >&2; exit 1; }
+# Malformed -fleet-* values, and flags the mode would ignore, must be
+# rejected with exit 2 (usage error) before any capture or network work
+# starts.
+for badflags in "-fleet-shards 0" "-fleet-clients 0" "-fleet-batch -1" "-fleet-retries -1" "-fleet-store ${TMPDIR:-/tmp}/stmdiag-check-walless" "-faults rate=2" "-executor subprocess"; do
     set +e
     "$FLEETD" -report "$FLEET_URL" $badflags >/dev/null 2>&1
     rc=$?

@@ -32,9 +32,7 @@ import (
 	"fmt"
 
 	"stmdiag/internal/apps"
-	"stmdiag/internal/artifact"
 	"stmdiag/internal/core"
-	"stmdiag/internal/faultinj"
 	"stmdiag/internal/harness"
 	"stmdiag/internal/isa"
 	"stmdiag/internal/kernel"
@@ -479,14 +477,6 @@ type ExperimentConfig struct {
 	Seed int64
 	// LBRSize and LCRSize override the 16-entry record depths.
 	LBRSize, LCRSize int
-	// Obs is the optional telemetry sink (internal/obs). When set, every
-	// VM run the experiment drives reports counters into its registry and
-	// — if it carries a tracer — cycle-timestamped trace events.
-	Obs *obs.Sink
-	// Faults is the deterministic fault-injection spec (internal/faultinj;
-	// parse one with faultinj.ParseSpec). The zero value injects nothing
-	// and keeps the fault-free fast path.
-	Faults faultinj.Spec
 	// Ranker selects the diagnosis scoring formula (-ranker). The zero
 	// value is the paper's CBI-style harmonic mean.
 	Ranker core.Ranker
@@ -494,14 +484,6 @@ type ExperimentConfig struct {
 	// propagation distance) cell; 0 selects the default (13, a 208-program
 	// corpus).
 	CorpusPerCell int
-	// Executor overrides how portable trials execute (-executor): nil runs
-	// them in-process; harness.NewSubprocExecutor fans them out over
-	// isolated worker subprocesses. Results are byte-identical either way.
-	Executor harness.Executor
-	// Artifacts is the durable trial-result store (-resume): when set, every
-	// committed trial persists as it completes and already-persisted trials
-	// are loaded instead of re-executed, so a killed run resumes losslessly.
-	Artifacts *artifact.Store
 }
 
 func (c ExperimentConfig) internal() harness.Config {
@@ -515,12 +497,8 @@ func (c ExperimentConfig) internal() harness.Config {
 		Seed:          c.Seed,
 		LBRSize:       c.LBRSize,
 		LCRSize:       c.LCRSize,
-		Obs:           c.Obs,
-		Faults:        c.Faults,
 		Ranker:        c.Ranker,
 		CorpusPerCell: c.CorpusPerCell,
-		Executor:      c.Executor,
-		Artifacts:     c.Artifacts,
 	}
 }
 
