@@ -8,7 +8,10 @@
 // (paper Table 2) and that the proposed LCR records.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // State is a MESI coherence state.
 type State uint8
@@ -62,7 +65,9 @@ func (k AccessKind) String() string {
 	return "load"
 }
 
-// Config fixes the cache geometry.
+// Config fixes the cache geometry. As in hardware, the block size and the
+// set count must be powers of two, so an address splits into tag, set and
+// offset by shifts rather than divisions.
 type Config struct {
 	// SizeBytes is the total capacity of one core's L1D.
 	SizeBytes int
@@ -79,19 +84,19 @@ var DefaultConfig = Config{SizeBytes: 64 << 10, Ways: 2, BlockBytes: 64}
 // sets returns the number of sets the geometry implies.
 func (c Config) sets() int { return c.SizeBytes / (c.Ways * c.BlockBytes) }
 
-// wordsPerBlock returns how many 64-bit words fit one block.
-func (c Config) wordsPerBlock() int64 { return int64(c.BlockBytes / 8) }
-
 // validate reports whether the geometry is usable.
 func (c Config) validate() error {
 	if c.SizeBytes <= 0 || c.Ways <= 0 || c.BlockBytes < 8 {
 		return fmt.Errorf("cache: bad geometry %+v", c)
 	}
-	if c.BlockBytes%8 != 0 {
-		return fmt.Errorf("cache: block size %d not a whole number of words", c.BlockBytes)
+	if bits.OnesCount(uint(c.BlockBytes)) != 1 {
+		return fmt.Errorf("cache: block size %d not a power of two", c.BlockBytes)
 	}
 	if c.sets() <= 0 {
 		return fmt.Errorf("cache: geometry %+v yields no sets", c)
+	}
+	if bits.OnesCount(uint(c.sets())) != 1 {
+		return fmt.Errorf("cache: geometry %+v yields %d sets, not a power of two", c, c.sets())
 	}
 	return nil
 }
@@ -105,8 +110,10 @@ type line struct {
 
 // Cache is one core's L1D.
 type Cache struct {
-	cfg   Config
-	sets  [][]line
+	// lines holds the sets×ways lines set-major, so set i is
+	// lines[i*ways : (i+1)*ways]. It stays nil until the core's first
+	// Access: an idle core holds nothing and costs nothing.
+	lines []line
 	stats Stats
 }
 
@@ -124,13 +131,16 @@ type Stats struct {
 // accesses, which models the sequentially consistent interleaving the
 // paper's PIN-based simulator observes.
 type System struct {
-	cfg    Config
-	caches []*Cache
-	tick   uint64
-	tel    telemetry
+	cfg        Config
+	blockShift uint // log2 of the words per block
+	setShift   uint // log2 of the set count
+	caches     []*Cache
+	tick       uint64
+	tel        telemetry
 }
 
-// NewSystem builds a coherent domain of ncores caches.
+// NewSystem builds a coherent domain of ncores caches. No lines are
+// allocated until a core first accesses its cache.
 func NewSystem(ncores int, cfg Config) (*System, error) {
 	if ncores <= 0 {
 		return nil, fmt.Errorf("cache: ncores must be positive, got %d", ncores)
@@ -138,13 +148,14 @@ func NewSystem(ncores int, cfg Config) (*System, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, caches: make([]*Cache, ncores)}
+	s := &System{
+		cfg:        cfg,
+		blockShift: uint(bits.TrailingZeros(uint(cfg.BlockBytes / 8))),
+		setShift:   uint(bits.TrailingZeros(uint(cfg.sets()))),
+		caches:     make([]*Cache, ncores),
+	}
 	for i := range s.caches {
-		sets := make([][]line, cfg.sets())
-		for j := range sets {
-			sets[j] = make([]line, cfg.Ways)
-		}
-		s.caches[i] = &Cache{cfg: cfg, sets: sets}
+		s.caches[i] = &Cache{}
 	}
 	return s, nil
 }
@@ -165,9 +176,17 @@ func (s *System) NumCores() int { return len(s.caches) }
 // Stats returns a copy of one core's counters.
 func (s *System) Stats(core int) Stats { return s.caches[core].stats }
 
-// blockOf maps a word address to its block address.
-func (s *System) blockOf(wordAddr int64) int64 {
-	return wordAddr / s.cfg.wordsPerBlock()
+// locate maps a word address to the index of its set's first line in a
+// core's lines, and to its tag.
+func (s *System) locate(wordAddr int64) (lo int, tag int64) {
+	block := wordAddr >> s.blockShift
+	return int(block&(1<<s.setShift-1)) * s.cfg.Ways, block >> s.setShift
+}
+
+// set returns the ways of c's set starting at lo; c's lines must be
+// allocated.
+func (s *System) set(c *Cache, lo int) []line {
+	return c.lines[lo : lo+s.cfg.Ways]
 }
 
 // Access performs a load or store by the given core at the given word
@@ -178,9 +197,11 @@ func (s *System) blockOf(wordAddr int64) int64 {
 func (s *System) Access(core int, wordAddr int64, kind AccessKind) State {
 	s.tick++
 	c := s.caches[core]
-	block := s.blockOf(wordAddr)
-	set := int(block % int64(len(c.sets)))
-	tag := block / int64(len(c.sets))
+	if c.lines == nil {
+		c.lines = make([]line, s.cfg.sets()*s.cfg.Ways)
+	}
+	lo, tag := s.locate(wordAddr)
+	set := s.set(c, lo)
 
 	if kind == Load {
 		c.stats.Loads++
@@ -188,7 +209,7 @@ func (s *System) Access(core int, wordAddr int64, kind AccessKind) State {
 		c.stats.Stores++
 	}
 
-	ln := c.find(set, tag)
+	ln := find(set, tag)
 	observed := Invalid
 	if ln != nil {
 		observed = ln.state
@@ -204,7 +225,7 @@ func (s *System) Access(core int, wordAddr int64, kind AccessKind) State {
 			case Shared:
 				// Upgrade: invalidate every remote copy.
 				s.tel.busUpgr.Inc()
-				s.invalidateOthers(core, set, tag)
+				s.invalidateOthers(core, lo, tag)
 				ln.state = Modified
 			case Exclusive:
 				ln.state = Modified
@@ -222,7 +243,7 @@ func (s *System) Access(core int, wordAddr int64, kind AccessKind) State {
 	} else {
 		s.tel.busRd.Inc()
 	}
-	remote := s.snoop(core, set, tag, kind)
+	remote := s.snoop(core, lo, tag, kind)
 	if ln == nil {
 		evBefore := c.stats.Evictions
 		ln = c.victim(set)
@@ -248,19 +269,20 @@ func (s *System) Access(core int, wordAddr int64, kind AccessKind) State {
 // wordAddr, without touching LRU or statistics.
 func (s *System) Peek(core int, wordAddr int64) State {
 	c := s.caches[core]
-	block := s.blockOf(wordAddr)
-	set := int(block % int64(len(c.sets)))
-	tag := block / int64(len(c.sets))
-	if ln := c.find(set, tag); ln != nil {
+	if c.lines == nil {
+		return Invalid
+	}
+	lo, tag := s.locate(wordAddr)
+	if ln := find(s.set(c, lo), tag); ln != nil {
 		return ln.state
 	}
 	return Invalid
 }
 
-// find returns the line holding tag in the set, whatever its state, or nil.
-func (c *Cache) find(set int, tag int64) *line {
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
+// find returns the valid line holding tag in the set, or nil.
+func find(set []line, tag int64) *line {
+	for i := range set {
+		ln := &set[i]
 		if ln.tag == tag && ln.state != Invalid {
 			return ln
 		}
@@ -270,11 +292,10 @@ func (c *Cache) find(set int, tag int64) *line {
 
 // victim picks the line to replace in the set: an Invalid line if any,
 // otherwise the least recently used. A valid victim counts as an eviction.
-func (c *Cache) victim(set int) *line {
-	lines := c.sets[set]
+func (c *Cache) victim(set []line) *line {
 	var v *line
-	for i := range lines {
-		ln := &lines[i]
+	for i := range set {
+		ln := &set[i]
 		if ln.state == Invalid {
 			return ln
 		}
@@ -290,13 +311,13 @@ func (c *Cache) victim(set int) *line {
 // snoop services a bus transaction from the requester: for a load (BusRd)
 // remote M/E copies degrade to S; for a store (BusRdX) every remote copy is
 // invalidated. It reports whether any remote cache held the block.
-func (s *System) snoop(requester, set int, tag int64, kind AccessKind) bool {
+func (s *System) snoop(requester, lo int, tag int64, kind AccessKind) bool {
 	shared := false
 	for id, c := range s.caches {
-		if id == requester {
-			continue
+		if id == requester || c.lines == nil {
+			continue // an idle core holds nothing
 		}
-		ln := c.find(set, tag)
+		ln := find(s.set(c, lo), tag)
 		if ln == nil {
 			continue
 		}
@@ -316,12 +337,12 @@ func (s *System) snoop(requester, set int, tag int64, kind AccessKind) bool {
 }
 
 // invalidateOthers kills remote copies on a store upgrade.
-func (s *System) invalidateOthers(requester, set int, tag int64) {
+func (s *System) invalidateOthers(requester, lo int, tag int64) {
 	for id, c := range s.caches {
-		if id == requester {
-			continue
+		if id == requester || c.lines == nil {
+			continue // an idle core holds nothing
 		}
-		if ln := c.find(set, tag); ln != nil {
+		if ln := find(s.set(c, lo), tag); ln != nil {
 			s.tel.transition(ln.state, Invalid)
 			ln.state = Invalid
 			c.stats.Invalidations++
@@ -341,15 +362,12 @@ func (s *System) CheckInvariants() error {
 	}
 	holders := make(map[[2]int64][]holder)
 	for id, c := range s.caches {
-		for setIdx, set := range c.sets {
-			for i := range set {
-				ln := &set[i]
-				if ln.state == Invalid {
-					continue
-				}
-				key := [2]int64{int64(setIdx), ln.tag}
-				holders[key] = append(holders[key], holder{id, ln.state})
+		for i, ln := range c.lines {
+			if ln.state == Invalid {
+				continue
 			}
+			key := [2]int64{int64(i / s.cfg.Ways), ln.tag}
+			holders[key] = append(holders[key], holder{id, ln.state})
 		}
 	}
 	for key, hs := range holders {

@@ -6,6 +6,9 @@
 //
 // Addresses are in 64-bit words; the data cache translates them to byte
 // addresses (one word = 8 bytes) when forming cache blocks.
+//
+// Segments are paged: a trial pays only for the pages it writes, so a
+// thread's 16K-word stack costs a page table until the thread touches it.
 package memory
 
 import "fmt"
@@ -27,19 +30,25 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("segmentation fault: invalid %s at word address %d", kind, f.Addr)
 }
 
+// pageWords is the page size in words. A page is allocated on its first
+// non-zero store; an absent page reads as zero.
+const pageWords = 512
+
 // Segment is a contiguous mapped region.
 type Segment struct {
 	// Name identifies the segment in diagnostics ("globals", "stack0"...).
 	Name string
 	// Base is the first mapped word address.
 	Base int64
-	// Words is the backing store; the segment spans [Base, Base+len).
-	Words []int64
+	// Size is the segment length in words; it spans [Base, Base+Size).
+	Size int64
+
+	pages []*[pageWords]int64
 }
 
 // Contains reports whether the word address falls inside the segment.
 func (s *Segment) Contains(addr int64) bool {
-	return addr >= s.Base && addr < s.Base+int64(len(s.Words))
+	return addr >= s.Base && addr < s.Base+s.Size
 }
 
 // Memory is a collection of non-overlapping segments.
@@ -50,19 +59,20 @@ type Memory struct {
 // New returns an empty address space.
 func New() *Memory { return &Memory{} }
 
-// Map adds a zeroed segment of the given size. It returns an error if the
-// new segment would overlap an existing one.
+// Map adds a zeroed segment of the given size; no page is allocated yet.
+// It returns an error if the new segment would overlap an existing one.
 func (m *Memory) Map(name string, base, size int64) (*Segment, error) {
 	if size < 0 {
 		return nil, fmt.Errorf("memory: map %s: negative size %d", name, size)
 	}
 	for _, s := range m.segs {
-		if base < s.Base+int64(len(s.Words)) && s.Base < base+size {
+		if base < s.Base+s.Size && s.Base < base+size {
 			return nil, fmt.Errorf("memory: map %s [%d,%d) overlaps %s [%d,%d)",
-				name, base, base+size, s.Name, s.Base, s.Base+int64(len(s.Words)))
+				name, base, base+size, s.Name, s.Base, s.Base+s.Size)
 		}
 	}
-	seg := &Segment{Name: name, Base: base, Words: make([]int64, size)}
+	seg := &Segment{Name: name, Base: base, Size: size,
+		pages: make([]*[pageWords]int64, (size+pageWords-1)/pageWords)}
 	m.segs = append(m.segs, seg)
 	return seg, nil
 }
@@ -83,7 +93,11 @@ func (m *Memory) Load(addr int64) (int64, error) {
 	if s == nil {
 		return 0, &Fault{Addr: addr}
 	}
-	return s.Words[addr-s.Base], nil
+	off := addr - s.Base
+	if p := s.pages[off/pageWords]; p != nil {
+		return p[off%pageWords], nil
+	}
+	return 0, nil
 }
 
 // Store writes the word at addr.
@@ -92,7 +106,16 @@ func (m *Memory) Store(addr, val int64) error {
 	if s == nil {
 		return &Fault{Addr: addr, Write: true}
 	}
-	s.Words[addr-s.Base] = val
+	off := addr - s.Base
+	p := s.pages[off/pageWords]
+	if p == nil {
+		if val == 0 {
+			return nil // an absent page already reads as zero
+		}
+		p = new([pageWords]int64)
+		s.pages[off/pageWords] = p
+	}
+	p[off%pageWords] = val
 	return nil
 }
 

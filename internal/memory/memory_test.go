@@ -2,6 +2,7 @@ package memory
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -122,8 +123,7 @@ func TestStoreLoadQuick(t *testing.T) {
 func TestFaultQuick(t *testing.T) {
 	m := New()
 	const base, size = 4096, 64
-	seg, err := m.Map("g", base, size)
-	if err != nil {
+	if _, err := m.Map("g", base, size); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Store(base, 7); err != nil {
@@ -143,9 +143,115 @@ func TestFaultQuick(t *testing.T) {
 		if _, err := m.Load(addr); err == nil {
 			return false
 		}
-		return seg.Words[0] == 7
+		v, err := m.Load(base)
+		return err == nil && v == 7
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPagedOracle drives random Map/Store/Load sequences through Memory and
+// through a dense map-based model of the same address space, and requires
+// identical values and faults at every step. Addresses cluster at segment
+// edges and page boundaries, about half the stores write zero, and some
+// accesses fall just outside a segment or into the gaps between them.
+func TestPagedOracle(t *testing.T) {
+	type region struct{ base, size int64 }
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := New()
+		model := map[int64]int64{} // mapped word -> value
+		var regions []region
+		next := int64(rng.Intn(3 * pageWords))
+		for i := 0; i < 1+rng.Intn(4); i++ {
+			size := int64(rng.Intn(3 * pageWords))
+			if _, err := m.Map("seg", next, size); err != nil {
+				t.Fatalf("seed %d: Map: %v", seed, err)
+			}
+			regions = append(regions, region{next, size})
+			for a := next; a < next+size; a++ {
+				model[a] = 0
+			}
+			next += size + int64(rng.Intn(2*pageWords)) // gap: unmapped words
+		}
+		addr := func() int64 {
+			r := regions[rng.Intn(len(regions))]
+			var off int64
+			switch rng.Intn(4) {
+			case 0: // just outside either end
+				off = []int64{-1, r.size}[rng.Intn(2)]
+			case 1: // around a page boundary
+				off = int64(rng.Intn(3))*pageWords + int64(rng.Intn(3)) - 1
+			default:
+				off = int64(rng.Intn(int(r.size) + 2))
+			}
+			return r.base + off
+		}
+		for step := 0; step < 2000; step++ {
+			a := addr()
+			want, mapped := model[a]
+			if rng.Intn(2) == 0 {
+				val := rng.Int63n(5) - 2 // zero about half the time
+				if rng.Intn(3) == 0 {
+					val = 0
+				}
+				err := m.Store(a, val)
+				if mapped != (err == nil) {
+					t.Fatalf("seed %d step %d: Store(%d) err = %v, mapped = %v", seed, step, a, err, mapped)
+				}
+				if mapped {
+					model[a] = val
+				}
+				continue
+			}
+			got, err := m.Load(a)
+			if mapped != (err == nil) {
+				t.Fatalf("seed %d step %d: Load(%d) err = %v, mapped = %v", seed, step, a, err, mapped)
+			}
+			var f *Fault
+			if !mapped && (!errors.As(err, &f) || f.Addr != a || f.Write) {
+				t.Fatalf("seed %d step %d: Load(%d) fault = %v", seed, step, a, err)
+			}
+			if got != want {
+				t.Fatalf("seed %d step %d: Load(%d) = %d, model %d", seed, step, a, got, want)
+			}
+		}
+	}
+}
+
+// Reading a word no store has touched, or storing zero into a page that
+// does not exist yet, must not allocate a page.
+func TestUntouchedPagesFree(t *testing.T) {
+	m := New()
+	const base, runs = 4096, 100
+	// AllocsPerRun makes one warm-up call before the measured ones, so
+	// every call gets a page of its own.
+	if _, err := m.Map("stack", base, (runs+2)*pageWords); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Store(base, 1); err != nil { // page 0 exists from here on
+		t.Fatal(err)
+	}
+	page := int64(0)
+	if n := testing.AllocsPerRun(runs, func() {
+		page++
+		if v, err := m.Load(base + page*pageWords + 3); err != nil || v != 0 {
+			t.Fatalf("untouched Load = %d, %v", v, err)
+		}
+	}); n != 0 {
+		t.Errorf("Load of an untouched word allocates %v times", n)
+	}
+	page = 0
+	if n := testing.AllocsPerRun(runs, func() {
+		page++
+		if err := m.Store(base+page*pageWords, 0); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Store(0) into an absent page allocates %v times", n)
+	}
+	if v, _ := m.Load(base); v != 1 {
+		t.Errorf("Load(base) = %d, want 1", v)
 	}
 }

@@ -25,7 +25,8 @@ type Driver interface {
 // or a log-driven replayer.
 type SchedSource interface {
 	// Pick chooses among the runnable thread IDs, returning an index into
-	// the slice.
+	// the slice. The machine reuses the slice after Pick returns, so
+	// implementations must not retain it.
 	Pick(runnable []int) int
 	// Quantum returns the slice length in [min, max].
 	Quantum(min, max int) int
@@ -320,6 +321,7 @@ type Machine struct {
 	cores []*Core
 
 	threads []*Thread
+	runBuf  []int
 	mutexes map[int64]*mutexState
 	rng     *rand.Rand
 
@@ -504,14 +506,16 @@ func (m *Machine) spawnThread(entry int, arg int64, parent int) (*Thread, error)
 // Threads returns all threads (any state).
 func (m *Machine) Threads() []*Thread { return m.threads }
 
-// runnable returns the IDs of runnable threads.
+// runnable returns the IDs of runnable threads in a buffer the next call
+// reuses.
 func (m *Machine) runnable() []int {
-	var ids []int
+	ids := m.runBuf[:0]
 	for _, t := range m.threads {
 		if t.State == ThreadRunnable {
 			ids = append(ids, t.ID)
 		}
 	}
+	m.runBuf = ids
 	return ids
 }
 

@@ -5,7 +5,7 @@ package stmdiag
 // (the same workload the harness fans out), reporting retired instructions
 // per second alongside the allocation figures -benchmem emits. These are
 // the concrete targets ROADMAP item 2's profile-guided VM speed work
-// optimizes against.
+// optimizes against. TestVMTrialAllocs gates the allocation figures.
 
 import "testing"
 
