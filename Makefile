@@ -2,26 +2,18 @@
 check:
 	@sh scripts/check.sh
 
-# Times the trial-execution engine across a -jobs scaling curve and the VM
-# interpreter (BenchmarkVMTrial), writing BENCH_harness.json and
-# BENCH_vm.json; fails if any variant's stdout differs.
+# Records the wall-clock benchmarks as medians with an IQR into
+# BENCH_harness.json and BENCH_vm.json (scripts/benchjson); fails if a median
+# misses a floor.
 bench:
-	@sh scripts/bench.sh
+	@go run ./scripts/benchjson
 
-# Seconds-fast bench pass with tiny run counts; writes under $$TMPDIR so the
-# committed BENCH_*.json files stay untouched. Wired into scripts/check.sh.
+# Seconds-fast recorder pass with short bench times; writes under $$TMPDIR so
+# the committed BENCH_*.json files stay untouched. Wired into scripts/check.sh.
 bench-smoke:
-	@sh scripts/bench.sh --smoke
+	@go run ./scripts/benchjson -smoke
 
 microbench:
 	go test -bench=. -benchmem ./...
 
-# Reruns the smoke bench and diffs it against the committed baselines with
-# per-key tolerances (see scripts/benchdiff.sh); regressions fail. check.sh
-# runs the same diff warn-only.
-benchdiff:
-	@sh scripts/bench.sh --smoke
-	@sh scripts/benchdiff.sh BENCH_harness.json "$${TMPDIR:-/tmp}/stmdiag-bench-harness.json"
-	@sh scripts/benchdiff.sh BENCH_vm.json "$${TMPDIR:-/tmp}/stmdiag-bench-vm.json"
-
-.PHONY: check bench bench-smoke microbench benchdiff
+.PHONY: check bench bench-smoke microbench

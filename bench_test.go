@@ -11,8 +11,13 @@ package stmdiag
 // framework keeps N=1 when an iteration exceeds the bench time.
 
 import (
+	"bytes"
+	"fmt"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"stmdiag/internal/apps"
 	"stmdiag/internal/cache"
@@ -135,25 +140,82 @@ func BenchmarkTable6Sequential(b *testing.B) {
 
 // BenchmarkTable7Concurrency regenerates the concurrency-bug evaluation
 // (paper Table 7: 7 of 11 failures diagnosed) and reports the diagnosed
-// count and rank fidelity.
+// count and rank fidelity, once per trial-pool size of the -jobs scaling
+// curve. Table 7's trials are short, so the curve shows the engine's fixed
+// cost per trial (scripts/benchjson records it).
 func BenchmarkTable7Concurrency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		diagnosed, exact := 0, 0
-		for _, a := range apps.Concurrent() {
-			row, err := harness.RunConcurrent(a, benchCfg)
-			if err != nil {
-				b.Fatal(err)
+	for _, jobs := range []int{1, 2, 4} {
+		cfg := benchCfg
+		cfg.Jobs = jobs
+		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				diagnosed, exact := 0, 0
+				for _, a := range apps.Concurrent() {
+					row, err := harness.RunConcurrent(a, cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if row.LCRARank == 1 {
+						diagnosed++
+					}
+					if row.RankConf1 == a.Paper.LCRConf1 && row.RankConf2 == a.Paper.LCRConf2 {
+						exact++
+					}
+				}
+				b.ReportMetric(float64(diagnosed), "LCRA-diagnosed/11")
+				b.ReportMetric(float64(exact), "ranks-matching-paper/11")
 			}
-			if row.LCRARank == 1 {
-				diagnosed++
-			}
-			if row.RankConf1 == a.Paper.LCRConf1 && row.RankConf2 == a.Paper.LCRConf2 {
-				exact++
-			}
-		}
-		b.ReportMetric(float64(diagnosed), "LCRA-diagnosed/11")
-		b.ReportMetric(float64(exact), "ranks-matching-paper/11")
+		})
 	}
+}
+
+// BenchmarkTable7Served times what -serve costs a whole run: the
+// experiments binary renders a reduced Table 7 over subprocess workers, once
+// plain and once with -serve federating every worker's telemetry into the
+// served view, and stdout must match. Every op runs both back to back,
+// alternating which goes first, and each sample reports both run times and
+// served/sub, their ratio: pairing inside one op cancels the load drift of
+// a shared machine, which go test's back-to-back samples of two separate
+// benchmarks would not. scripts/benchjson holds the median ratio to 1.25.
+func BenchmarkTable7Served(b *testing.B) {
+	bin := filepath.Join(b.TempDir(), "experiments")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/experiments").CombinedOutput(); err != nil {
+		b.Fatalf("go build: %v\n%s", err, out)
+	}
+	args := []string{"-table", "7", "-failruns", "6", "-succruns", "6", "-cbiruns", "100",
+		"-overhead", "2", "-jobs", "0", "-executor", "subprocess"}
+	var want []byte
+	run := func(extra ...string) time.Duration {
+		var out bytes.Buffer
+		cmd := exec.Command(bin, append(args, extra...)...)
+		cmd.Stdout = &out
+		start := time.Now()
+		if err := cmd.Run(); err != nil {
+			b.Fatalf("experiments %s: %v", strings.Join(extra, " "), err)
+		}
+		d := time.Since(start)
+		if want == nil {
+			want = out.Bytes()
+		} else if !bytes.Equal(out.Bytes(), want) {
+			b.Fatalf("stdout differs with %q", extra)
+		}
+		return d
+	}
+	run() // warm the page cache
+	b.ResetTimer()
+	var sub, served time.Duration
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			sub += run()
+			served += run("-serve", "127.0.0.1:0")
+		} else {
+			served += run("-serve", "127.0.0.1:0")
+			sub += run()
+		}
+	}
+	b.ReportMetric(float64(sub.Nanoseconds())/float64(b.N), "sub-ns/run")
+	b.ReportMetric(float64(served.Nanoseconds())/float64(b.N), "served-ns/run")
+	b.ReportMetric(float64(served)/float64(sub), "served/sub")
 }
 
 // BenchmarkDiagnosisLatency compares how many failure occurrences LBRA and

@@ -14,7 +14,7 @@ func benchPayload(i int) []byte {
 
 // BenchmarkArtifactCommit measures the write path a run pays per committed
 // trial: manifest append + CAS blob write, reported as trials/sec
-// (scripts/bench.sh records it as artifact_commit_trials_per_sec).
+// (scripts/benchjson records it as artifact_commit_trials_per_sec).
 func BenchmarkArtifactCommit(b *testing.B) {
 	s, err := Open(b.TempDir(), nil)
 	if err != nil {

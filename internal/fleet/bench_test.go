@@ -13,17 +13,16 @@ import (
 
 // BenchmarkFleetIngest measures end-to-end ingest throughput: pre-encoded
 // gzip batches POSTed over loopback HTTP into the sharded store, parallel
-// submitters. Reports profiles/sec (the acceptance floor is 10k/s) and
-// shard-wait-ns/op, the lock-contention cost scripts/bench.sh records.
+// submitters. Reports profiles/sec (scripts/benchjson holds its median to
+// a 10k/s floor) and shard-wait-ns/op, the lock-contention cost per batch.
+// TestBenchBatchBytes gates the batch's wire size exactly.
 func BenchmarkFleetIngest(b *testing.B) {
-	const perBatch = 64
 	sink := &obs.Sink{Metrics: obs.NewRegistry()}
 	store := NewStore(StoreOptions{Sink: sink})
 	srv := httptest.NewServer(NewService(store, nil, sink).Handler())
 	defer srv.Close()
 
-	subs := randomSubmissions(1, perBatch)
-	data, err := EncodeBatchGzip(&Batch{Client: "bench", Subs: subs})
+	data, err := EncodeBatchGzip(benchBatch())
 	if err != nil {
 		b.Fatal(err)
 	}

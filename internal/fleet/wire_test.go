@@ -170,3 +170,28 @@ func FuzzDecodeBatch(f *testing.F) {
 		}
 	})
 }
+
+// benchBatch is BenchmarkFleetIngest's fixed batch: 64 profiles of the
+// seed-1 random population.
+func benchBatch() *Batch {
+	return &Batch{Client: "bench", Subs: randomSubmissions(1, 64)}
+}
+
+// TestBenchBatchBytes gates the wire size of benchBatch exactly, plain and
+// gzipped: bytes per profile are a deterministic function of the wire
+// format, so any change to it shows here.
+func TestBenchBatchBytes(t *testing.T) {
+	const wantPlain, wantGzip = 14975, 801
+	plain, err := EncodeBatch(benchBatch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gz, err := EncodeBatchGzip(benchBatch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plain) != wantPlain || len(gz) != wantGzip {
+		t.Errorf("64-profile batch = %d bytes plain, %d gzipped; golden %d, %d",
+			len(plain), len(gz), wantPlain, wantGzip)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"stmdiag/internal/apps"
+	"stmdiag/internal/obs"
 )
 
 // jobsValues returns the worker counts the invariance tests sweep: the
@@ -27,7 +28,9 @@ func jobsValues() []int {
 // its output too must not depend on the worker count. Table 9 joins it to
 // cover the generated-bug corpus: its per-program seeds derive from cell
 // coordinates, never worker identity, so the bake-off is jobs-invariant
-// too (a reduced per-cell count keeps the sweep fast).
+// too (a reduced per-cell count keeps the sweep fast). Every render past the
+// reference arms a metrics sink, so the output must not depend on telemetry
+// either.
 func TestTablesJobsInvariance(t *testing.T) {
 	base := Config{
 		FailRuns:      3,
@@ -44,6 +47,9 @@ func TestTablesJobsInvariance(t *testing.T) {
 			for _, jobs := range jobsValues() {
 				cfg := base
 				cfg.Jobs = jobs
+				if ref != "" {
+					cfg.Obs = &obs.Sink{Metrics: obs.NewRegistry()}
+				}
 				out, err := RenderTable(n, cfg)
 				if err != nil {
 					t.Fatalf("RenderTable(%d) jobs=%d: %v", n, jobs, err)

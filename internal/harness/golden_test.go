@@ -7,9 +7,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"stmdiag/internal/obs"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden table outputs under testdata/golden")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/golden")
 
 // goldenConfig is a reduced but fully deterministic experiment
 // configuration: small run counts keep the suite fast, and a fixed Jobs
@@ -28,35 +30,64 @@ func goldenConfig() Config {
 }
 
 // TestGoldenTables locks the byte-exact output of every paper table against
-// checked-in golden files. Regenerate after an intended output change with
+// checked-in golden files, rendered as every binary renders it without
+// telemetry flags. A second render with a metrics sink armed must print
+// the same bytes, and beside each table the deterministic metrics that run
+// recorded (tableN.metrics.json) are locked too: VM instructions and
+// cycles, the cache/MESI, PMU and kernel counts, and the committed trials.
+// Those counts are the model's cost figures, so they are gated exactly even
+// where a drift would not change the rendered table. Regenerate after an
+// intended change with
 //
 //	go test ./internal/harness -run TestGoldenTables -update
 func TestGoldenTables(t *testing.T) {
 	for n := 1; n <= NumTables; n++ {
 		t.Run(fmt.Sprintf("table%d", n), func(t *testing.T) {
-			out, err := RenderTable(n, goldenConfig())
+			cfg := goldenConfig()
+			out, err := RenderTable(n, cfg)
 			if err != nil {
 				t.Fatalf("RenderTable(%d): %v", n, err)
 			}
-			path := filepath.Join("testdata", "golden", fmt.Sprintf("table%d.txt", n))
-			if *update {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
+			base := filepath.Join("testdata", "golden", fmt.Sprintf("table%d", n))
+			checkGolden(t, base+".txt", out)
+
+			cfg.Obs = &obs.Sink{Metrics: obs.NewRegistry()}
+			armed, err := RenderTable(n, cfg)
 			if err != nil {
-				t.Fatalf("missing golden file (regenerate with `go test ./internal/harness -update`): %v", err)
+				t.Fatalf("RenderTable(%d) with metrics armed: %v", n, err)
 			}
-			if string(want) != out {
-				t.Errorf("table %d drifted from golden output.\n%s\nregenerate with -update if the change is intended",
-					n, firstDiff(string(want), out))
+			if armed != out {
+				t.Errorf("table %d differs with metrics armed:\n%s", n, firstDiff(out, armed))
 			}
+			metrics, err := cfg.Obs.Metrics.Snapshot().Deterministic().JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, base+".metrics.json", string(metrics)+"\n")
 		})
+	}
+}
+
+// checkGolden compares got with the golden file at path, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (regenerate with `go test ./internal/harness -update`): %v", err)
+	}
+	if string(want) != got {
+		t.Errorf("%s drifted from golden output.\n%s\nregenerate with -update if the change is intended",
+			path, firstDiff(string(want), got))
 	}
 }
 

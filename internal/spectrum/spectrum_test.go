@@ -2,8 +2,10 @@ package spectrum
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -123,6 +125,42 @@ func TestRankPermutationInvariant(t *testing.T) {
 			a := fmt.Sprint(Rank(runs, f))
 			b := fmt.Sprint(Rank(shuffled, f))
 			if a != b {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRankDuplicationInvariant is a metamorphic property in the spirit of
+// Abreu et al.'s spectrum-quality work: duplicating every run doubles each
+// count, and doubling is exact in float64, so stats.Rank and both spectrum
+// formulas must return the same order with bit-identical scores.
+func TestRankDuplicationInvariant(t *testing.T) {
+	scores := func(ranked []stats.Scored[string]) string {
+		var b strings.Builder
+		for _, s := range ranked {
+			fmt.Fprintf(&b, "%s %x %x %x\n", s.Event,
+				math.Float64bits(s.Precision), math.Float64bits(s.Recall), math.Float64bits(s.Score))
+		}
+		return b.String()
+	}
+	rankers := []func([]stats.Run[string]) []stats.Scored[string]{
+		stats.Rank[string],
+		func(runs []stats.Run[string]) []stats.Scored[string] { return Rank(runs, Ochiai) },
+		func(runs []stats.Run[string]) []stats.Scored[string] { return Rank(runs, Tarantula) },
+	}
+	check := func(spec []byte) bool {
+		if len(spec) > 24 {
+			spec = spec[:24]
+		}
+		runs := runsFromSpec(spec)
+		doubled := append(append([]stats.Run[string](nil), runs...), runs...)
+		for _, rank := range rankers {
+			if scores(rank(runs)) != scores(rank(doubled)) {
 				return false
 			}
 		}

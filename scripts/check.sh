@@ -51,14 +51,19 @@ echo "== fuzz corpus replay"
 go test ./internal/stats ./internal/pmu ./internal/faultinj ./internal/synth ./internal/obs ./internal/fleet ./internal/artifact -run 'Fuzz'
 
 echo "== -jobs stdout identity"
+# Table 3 renders the same bytes at any -jobs value, with the fault layer
+# present but disabled (-faults off keeps the nil-plan path), and with an
+# idle live exporter bound to an ephemeral port.
 EXP="${TMPDIR:-/tmp}/stmdiag-check-experiments"
 go build -o "$EXP" ./cmd/experiments
 "$EXP" -table 3 -jobs 1 2>/dev/null >"${TMPDIR:-/tmp}/stmdiag-check-seq.txt"
-"$EXP" -table 3 -jobs 4 2>/dev/null >"${TMPDIR:-/tmp}/stmdiag-check-par.txt"
-if ! cmp -s "${TMPDIR:-/tmp}/stmdiag-check-seq.txt" "${TMPDIR:-/tmp}/stmdiag-check-par.txt"; then
-    echo "stdout differs between -jobs 1 and -jobs 4" >&2
-    exit 1
-fi
+for variant in "-jobs 4" "-jobs 4 -faults off" "-jobs 4 -serve 127.0.0.1:0"; do
+    "$EXP" -table 3 $variant 2>/dev/null >"${TMPDIR:-/tmp}/stmdiag-check-par.txt"
+    if ! cmp -s "${TMPDIR:-/tmp}/stmdiag-check-seq.txt" "${TMPDIR:-/tmp}/stmdiag-check-par.txt"; then
+        echo "table 3 stdout differs between -jobs 1 and $variant" >&2
+        exit 1
+    fi
+done
 
 echo "== -faults smoke + jobs identity"
 # Table 8 sweeps the injectors internally; its output must also be
@@ -124,27 +129,33 @@ if "$EXP" -corpus -corpus-n -1 >/dev/null 2>&1; then
     exit 1
 fi
 
-# The executor and resume identity gates below cover Table 3 and Table 9.
-# gate_table N sets REF, the in-process -jobs 1 render of table N from
-# above, and FLAGS, the experiments flags that render it.
+# The executor and resume identity gates below cover Table 3 and Table 9,
+# and the executor gate Table 7 too. gate_table N sets REF, the in-process
+# -jobs 1 render of table N, and FLAGS, the experiments flags that render it.
 gate_table() {
     case "$1" in
     3) REF="${TMPDIR:-/tmp}/stmdiag-check-seq.txt" FLAGS="-table 3" ;;
+    7) REF="${TMPDIR:-/tmp}/stmdiag-check-t7.txt" FLAGS="-table 7 -failruns 4 -succruns 4 -cbiruns 40" ;;
     9) REF="${TMPDIR:-/tmp}/stmdiag-check-c1.txt" FLAGS="-corpus -corpus-n 2 -failruns 4 -succruns 4" ;;
     esac
 }
 
 echo "== -executor subprocess identity"
 # The multi-process executor must render the same golden bytes the
-# sequential in-process run produced above (trials funnel through the same
-# portable-trial path whatever the engine).
-for gt in 3 9; do
+# sequential in-process run produced (trials funnel through the same
+# portable-trial path whatever the engine), also while -serve federates
+# every worker's telemetry. Table 7 adds the cbi-run kind.
+gate_table 7
+"$EXP" $FLAGS -jobs 1 2>/dev/null >"$REF"
+for gt in 3 7 9; do
     gate_table "$gt"
-    "$EXP" $FLAGS -jobs 4 -executor subprocess 2>/dev/null >"${TMPDIR:-/tmp}/stmdiag-check-sub.txt"
-    if ! cmp -s "$REF" "${TMPDIR:-/tmp}/stmdiag-check-sub.txt"; then
-        echo "table $gt stdout differs between -executor inproc and -executor subprocess" >&2
-        exit 1
-    fi
+    for serve in "" "-serve 127.0.0.1:0"; do
+        "$EXP" $FLAGS -jobs 4 -executor subprocess $serve 2>/dev/null >"${TMPDIR:-/tmp}/stmdiag-check-sub.txt"
+        if ! cmp -s "$REF" "${TMPDIR:-/tmp}/stmdiag-check-sub.txt"; then
+            echo "table $gt stdout differs between -executor inproc and -executor subprocess $serve" >&2
+            exit 1
+        fi
+    done
 done
 
 echo "== federated telemetry determinism"
@@ -369,16 +380,9 @@ if [ "$scraped" != 1 ]; then
 fi
 
 echo "== bench smoke"
-# The reduced bench pass: scaling curve, overhead passes and the VM
-# benchmark end to end, writing under \$TMPDIR.
-sh scripts/bench.sh --smoke
-
-echo "== benchdiff (warn-only)"
-# Compares the smoke pass against the committed baselines. Smoke timings
-# use tiny run counts on whatever machine this is, so regressions only
-# warn here; `make benchdiff` is the enforcing variant for full `make
-# bench` output.
-WARN_ONLY=1 sh scripts/benchdiff.sh BENCH_harness.json "${TMPDIR:-/tmp}/stmdiag-bench-harness.json"
-WARN_ONLY=1 sh scripts/benchdiff.sh BENCH_vm.json "${TMPDIR:-/tmp}/stmdiag-bench-vm.json"
+# A short pass of the wall-clock recorder: every recorded benchmark runs and
+# parses, and its medians land under $TMPDIR. Wall clock is only recorded;
+# the exact gates are the go test steps above.
+go run ./scripts/benchjson -smoke
 
 echo "check: OK"

@@ -1,11 +1,12 @@
 package stmdiag
 
-// BenchmarkVMTrial is the interpreter throughput benchmark scripts/bench.sh
-// parses into BENCH_vm.json: one full instrumented sort trial per iteration
-// (the same workload the harness fans out), reporting retired instructions
-// per second alongside the allocation figures -benchmem emits. These are
-// the concrete targets ROADMAP item 2's profile-guided VM speed work
-// optimizes against. TestVMTrialAllocs gates the allocation figures.
+// BenchmarkVMTrial is the interpreter throughput benchmark: one full
+// instrumented sort trial per iteration (the same workload the harness
+// fans out), reporting retired instructions per second alongside the
+// allocation figures -benchmem emits. scripts/benchjson records its
+// medians in BENCH_vm.json as the baseline the ROADMAP's VM-speed work
+// measures against; TestVMTrialAllocs gates the allocation figures
+// exactly.
 
 import "testing"
 
